@@ -62,7 +62,6 @@ from repro.parallel.costs import CostModel
 from repro.parallel.runtime import SimDeadlockError, SimMachine, SimReport
 from repro.baselines.join_edge_set import JoinEdgeSetMaintainer
 from repro.baselines.matching import MatchingMaintainer
-from repro.parallel.stream import StreamProcessor
 from repro.parallel.threads import ThreadedOrderMaintainer
 from repro.service import (
     Engine,
@@ -112,7 +111,6 @@ __all__ = [
     "SimDeadlockError",
     "JoinEdgeSetMaintainer",
     "MatchingMaintainer",
-    "StreamProcessor",
     "ThreadedOrderMaintainer",
     "Engine",
     "EngineConfig",

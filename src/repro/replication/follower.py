@@ -41,7 +41,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.parallel.batch import ParallelOrderMaintainer
-from repro.service.engine import EngineConfig
+from repro.service.engine import EngineConfig, apply_batch
 from repro.service.journal import (
     REC_CHECKPOINT,
     REC_COMMIT,
@@ -50,16 +50,13 @@ from repro.service.journal import (
     REC_PROMOTE,
 )
 from repro.service.requests import (
-    E_BAD_REQUEST,
     E_REPLICA_UNREADY,
-    E_UNKNOWN_QUERY,
-    E_UNKNOWN_VERTEX,
     STATUS_COMMITTED,
     STATUS_QUARANTINED,
     Response,
     make_error,
 )
-from repro.service.snapshots import QUERY_KINDS, SnapshotStore, SnapshotView
+from repro.service.snapshots import SnapshotStore, SnapshotView, answer_query
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -77,9 +74,9 @@ class FollowerEngine:
         records.
     config:
         :class:`EngineConfig` whose maintainer knobs (``num_workers``,
-        ``costs``, ``schedule``, ``seed``, ``policy``,
-        ``snapshot_cache``, ``query_cost``) the replica mirrors, so a
-        promoted follower rebuilds exactly the engine the primary ran.
+        ``costs``, ``schedule``, ``seed``, ``policy``, ``query_cost``)
+        the replica mirrors, so a promoted follower rebuilds exactly the
+        engine the primary ran.
         Fault injection is never armed on a follower — replay applies
         already-committed work.
     """
@@ -215,22 +212,15 @@ class FollowerEngine:
         if m is None or self.snapshots is None:
             raise ValueError("commit record before init/checkpoint")
         edges = [(u, v) for u, v in pending["edges"]]
-        result = (
-            m.insert_edges(edges)
-            if pending["kind"] == "+"
-            else m.remove_edges(edges)
-        )
+        result = apply_batch(m, pending["kind"], edges)
         self.replay_makespan += result.makespan
-        touched = {w for e in edges for w in e}
-        for s in result.stats:
-            touched.update(s.v_star)
-        got = self.snapshots.commit(touched)
+        got, touched = self.snapshots.commit_batch(edges, result)
         if got != epoch:
             raise ValueError(
                 f"replica {self.replica_id} epoch drift: replay produced "
                 f"epoch {got}, primary committed {epoch}"
             )
-        self._publish_epoch(touched)
+        self.snapshots.publish_to(self._queryplane, touched)
 
     def _maintainer_kw(self) -> Dict[str, Any]:
         cfg = self.config
@@ -245,12 +235,10 @@ class FollowerEngine:
 
     def _adopt(self, m: ParallelOrderMaintainer, epoch0: int) -> None:
         self.maintainer = m
-        self.snapshots = SnapshotStore(
-            m, cache_epochs=self.config.snapshot_cache, epoch0=epoch0
-        )
+        self.snapshots = SnapshotStore(m, epoch0=epoch0)
         # a mid-stream attach moves min_epoch forward: republish so
         # pinned readers below the new floor get the truncation refusal
-        self._publish_epoch(None)
+        self.snapshots.publish_to(self._queryplane)
 
     # ------------------------------------------------------------------
     # wait-free query plane (docs/queryplane.md)
@@ -272,16 +260,8 @@ class FollowerEngine:
             publisher = EpochPublisher(**kwargs)
         self._queryplane = publisher
         if self.snapshots is not None:
-            self._publish_epoch(None)
+            self.snapshots.publish_to(publisher)
         return publisher
-
-    def _publish_epoch(self, touched) -> None:
-        if self._queryplane is None or self.snapshots is None:
-            return
-        view = self.snapshots.view()
-        self._queryplane.publish(
-            view.epoch, self.snapshots.min_epoch, view.mapping, touched
-        )
 
     # ------------------------------------------------------------------
     # serving
@@ -315,37 +295,11 @@ class FollowerEngine:
                 ),
                 **stamp,
             )
-        handler = QUERY_KINDS.get(kind or "")
-        if handler is None:
-            return Response(
-                id=rid, op="query", status=STATUS_QUARANTINED,
-                error=make_error(
-                    E_UNKNOWN_QUERY,
-                    f"unknown query kind {kind!r} "
-                    f"(known: {sorted(QUERY_KINDS)})",
-                ),
-                **stamp,
-            )
         view = self.view()
-        try:
-            value = handler(view, tuple(args))
-        except TypeError as exc:
-            return Response(
-                id=rid, op="query", status=STATUS_QUARANTINED,
-                error=make_error(
-                    E_BAD_REQUEST, f"bad arguments for {kind!r}: {exc}"
-                ),
-                **stamp,
-            )
-        if kind == "core" and value is None:
-            return Response(
-                id=rid, op="query", status=STATUS_QUARANTINED,
-                error=make_error(
-                    E_UNKNOWN_VERTEX,
-                    f"vertex {args[0]!r} unknown at epoch {view.epoch}",
-                ),
-                **stamp,
-            )
+        value, err = answer_query(view, kind, tuple(args))
+        if err is not None:
+            return Response(id=rid, op="query", status=STATUS_QUARANTINED,
+                            error=make_error(*err), **stamp)
         return Response(
             id=rid, op="query", status=STATUS_COMMITTED, value=value,
             epoch=view.epoch, latency=self.config.query_cost, **stamp,

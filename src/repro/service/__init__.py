@@ -7,8 +7,7 @@ package answers "serve an interleaved stream of updates and queries":
   micro-batching over OurI/OurR, snapshot-isolated reads, admission
   control, structured partial-failure reporting, metrics;
 * :class:`PendingOps` / :class:`AdaptiveBatcher` — the coalescing /
-  cancellation run buffer (factored out of the old ``StreamProcessor``)
-  plus the size/time/pressure cut policy;
+  cancellation run buffer plus the size/time/pressure cut policy;
 * :class:`SnapshotStore` / :class:`SnapshotView` — epoch-versioned core
   views built on :class:`~repro.core.history.CoreHistory` deltas;
 * :class:`Request` / :class:`Response` — the request envelope and

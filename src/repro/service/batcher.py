@@ -2,25 +2,24 @@
 
 The paper's batch algorithms (``repro.parallel.batch``) need homogeneous
 batches — all insertions or all removals.  :class:`PendingOps` is the
-coalescing/cancellation buffer that used to live inside
-``StreamProcessor``: it accumulates one homogeneous *run* of edge
-operations, coalesces duplicate same-kind operations, cancels an
-operation against a queued opposite operation on the same edge, and
-reports a *conflict* when an opposite-kind operation on a fresh edge
-means the current run must be cut first.
+coalescing/cancellation buffer that cuts a mixed stream into such
+batches: it accumulates one homogeneous *run* of edge operations,
+coalesces duplicate same-kind operations, cancels an operation against
+a queued opposite operation on the same edge, and reports a *conflict*
+when an opposite-kind operation on a fresh edge means the current run
+must be cut first.
 
 :class:`AdaptiveBatcher` wraps a :class:`PendingOps` with the cut policy
 of the engine's micro-batcher.  A run is cut when any of:
 
-* **size** — the run reached ``max_batch`` operations (the old
-  ``StreamProcessor.max_batch`` auto-flush);
+* **size** — the run reached ``max_batch`` operations;
 * **time** — ``max_delay`` simulated time units elapsed since the run's
   first operation was queued (bounds update latency);
 * **pressure** — ``query_pressure`` queries were answered since the last
   commit (bounds snapshot *staleness*: readers never block, so the only
   cost of a long-lived run is answering from an older epoch);
 * **conflict** — an opposite-kind operation arrived (homogeneity forces
-  the cut, exactly as in the old stream driver);
+  the cut, preserving stream order);
 * **flush** — the caller forced it.
 
 The batcher never applies anything itself — the engine owns the clock and

@@ -51,11 +51,7 @@ from typing import (
 
 from repro.faults.plane import BatchCrashed, as_plane
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.parallel.batch import (
-    BatchResult,
-    ParallelOrderMaintainer,
-    validate_batch,
-)
+from repro.parallel.batch import ParallelOrderMaintainer, validate_batch
 from repro.parallel.costs import CostModel
 from repro.parallel.runtime import SimDeadlockError
 from repro.service.batcher import (
@@ -76,7 +72,6 @@ from repro.service.requests import (
     E_EDGE_MISSING,
     E_RETRIES_EXHAUSTED,
     E_SELF_LOOP,
-    E_UNKNOWN_QUERY,
     E_UNKNOWN_VERTEX,
     STATUS_ABANDONED,
     STATUS_COMMITTED,
@@ -88,7 +83,7 @@ from repro.service.requests import (
     Response,
     make_error,
 )
-from repro.service.snapshots import QUERY_KINDS, SnapshotStore, SnapshotView
+from repro.service.snapshots import SnapshotStore, SnapshotView, answer_query
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -145,7 +140,6 @@ class EngineConfig:
     #: batch scheduling policy name or instance
     #: (:data:`repro.parallel.scheduling.POLICIES`)
     policy: Any = "fifo"
-    snapshot_cache: int = 8
     #: fault-injection plane (None = no injection, the default)
     faults: Any = None
     #: persist the write-ahead journal to this file (None = in-memory)
@@ -187,6 +181,31 @@ class EngineConfig:
             raise ValueError("cross_group must be >= 1 or None")
         if self.window is not None and self.window <= 0:
             raise ValueError("window must be > 0 or None")
+
+
+def apply_batch(maintainer, kind: str, edges: List[Edge]):
+    """Apply one homogeneous batch — OurI for ``"+"``, OurR for ``"-"``."""
+    if kind == "+":
+        return maintainer.insert_edges(edges)
+    return maintainer.remove_edges(edges)
+
+
+def _replay_committed(m, replay: Replay, start: int,
+                      store: Optional[SnapshotStore] = None) -> None:
+    """Re-apply every committed journal batch after epoch ``start`` to
+    the clean maintainer ``m``.  With ``store`` (the restart path) each
+    batch is also committed as the epoch the journal names; crash
+    recovery passes none — its ledger already holds those epochs."""
+    for b in replay.batches_after(start):
+        result = apply_batch(m, b.kind, list(b.edges))
+        if store is None:
+            continue
+        epoch, _ = store.commit_batch(b.edges, result)
+        if epoch != b.epoch:
+            raise ValueError(
+                f"journal epoch mismatch on replay: rebuilt epoch "
+                f"{epoch}, journal says {b.epoch}"
+            )
 
 
 @dataclass
@@ -247,9 +266,7 @@ class Engine:
                 policy=cfg.policy,
                 faults=self.faults,
             )
-        self.snapshots = SnapshotStore(
-            self.maintainer, cache_epochs=cfg.snapshot_cache, epoch0=_epoch0
-        )
+        self.snapshots = SnapshotStore(self.maintainer, epoch0=_epoch0)
         #: cross-shard edges this engine co-owns but does NOT maintain:
         #: the coordinator shard (owner of the canonical first endpoint)
         #: applies them to its order maintainer; this engine only tracks
@@ -291,16 +308,12 @@ class Engine:
         self._prepared: Dict[str, PreparedTx] = {}
         self._edge_reqs: Dict[Edge, List[_Tracked]] = {}
         self._completed: List[Response] = []
-        self._batch_results: List[BatchResult] = []
         #: wait-free query plane (docs/queryplane.md): an
         #: EpochPublisher fed at every commit, plus the plane's shared
         #: read counter folded into the batcher's pressure trigger
         self._queryplane = None
         self._read_counter: Optional[Callable[[], int]] = None
         self._reads_seen = 0
-        self._query_kinds: Dict[str, Callable[[SnapshotView, Tuple], Any]] = (
-            dict(QUERY_KINDS)
-        )
 
     # ------------------------------------------------------------------
     # public surface
@@ -527,7 +540,7 @@ class Engine:
         self._queryplane = publisher
         if read_counter is not None:
             self.bind_read_counter(read_counter)
-        self._publish_epoch(None)
+        self.snapshots.publish_to(publisher)
         return publisher
 
     def bind_read_counter(
@@ -549,28 +562,10 @@ class Engine:
             self._reads_seen = total
             self.batcher.note_queries(delta)
 
-    def _publish_epoch(self, touched=None) -> None:
-        """Publish the last committed epoch to the query plane (no-op
-        without one).  ``touched`` bounds the mirror update; ``None``
-        forces a full rewrite (first publish, rebind)."""
-        if self._queryplane is None:
-            return
-        view = self.snapshots.view()
-        self._queryplane.publish(
-            view.epoch, self.snapshots.min_epoch, view.mapping, touched
-        )
-
     def take_completed(self) -> List[Response]:
         """Drain the asynchronously-completed update responses."""
         out = self._completed
         self._completed = []
-        return out
-
-    def take_batch_results(self) -> List[BatchResult]:
-        """Drain the per-batch :class:`BatchResult` reports (the
-        compatibility surface ``StreamProcessor.flush`` returns)."""
-        out = self._batch_results
-        self._batch_results = []
         return out
 
     def metrics(self) -> Dict:
@@ -707,24 +702,13 @@ class Engine:
         latency = self.config.query_cost
         if request.deadline is not None and request.deadline < self.now:
             return self._timeout_direct(request, rid)
-        handler = self._query_kinds.get(request.kind or "")
-        if handler is None:
-            return self._quarantine(
-                request, rid, E_UNKNOWN_QUERY,
-                f"unknown query kind {request.kind!r} "
-                f"(known: {sorted(self._query_kinds)})",
-            )
         view = self.view()
-        try:
-            value = handler(view, request.args)
-        except TypeError as exc:
-            return self._quarantine(request, rid, E_BAD_REQUEST,
-                                    f"bad arguments for {request.kind!r}: {exc}")
-        if request.kind == "core" and value is None:
-            resp = self._quarantine(
-                request, rid, E_UNKNOWN_VERTEX,
-                f"vertex {request.args[0]!r} unknown at epoch {view.epoch}",
-            )
+        value, err = answer_query(view, request.kind, request.args)
+        if err is not None:
+            resp = self._quarantine(request, rid, *err)
+            if err[0] != E_UNKNOWN_VERTEX:
+                # a malformed query read nothing: no staleness pressure
+                return resp
         else:
             self.metrics_collector.committed += 1
             self.metrics_collector.committed_queries += 1
@@ -747,23 +731,9 @@ class Engine:
         if not edges:
             return
         self.metrics_collector.cuts[reason] += 1
-        # deadline pass: expired requests are timed out and detached;
-        # an edge with no live requester left is dropped from the batch
-        live: Dict[Edge, List[_Tracked]] = {}
-        for e in edges:
-            trackers = self._edge_reqs.pop(e, [])
-            alive = []
-            for tr in trackers:
-                dl = tr.request.deadline
-                if dl is not None and dl < self.now:
-                    self._finish_async(tr, STATUS_TIMED_OUT)
-                else:
-                    alive.append(tr)
-            if alive:
-                live[e] = alive
-            elif kind == "+":
-                # the insert never applies: no window will arm for it
-                self._arrival.pop(e, None)
+        live = self._drop_expired(
+            kind, {e: self._edge_reqs.pop(e, []) for e in edges}
+        )
         if not live:
             return
         batch = list(live)
@@ -774,15 +744,9 @@ class Engine:
             # partial failure, not an exception escaping to the caller
             validate_batch(self.graph, batch, inserting)
         except (ValueError, KeyError) as exc:
-            for trackers in live.values():
-                for tr in trackers:
-                    self._finish_async(
-                        tr, STATUS_QUARANTINED,
-                        error=make_error(E_BATCH_FAILED, str(exc)),
-                    )
-            self._requeue_window(kind, live)
+            self._fail_live(kind, live, STATUS_QUARANTINED,
+                            make_error(E_BATCH_FAILED, str(exc)))
             return
-        cfg = self.config
         attempt = 0
         while True:
             # write-ahead: intend before touching the maintainer, so a
@@ -792,66 +756,26 @@ class Engine:
                          for trackers in live.values() for tr in trackers)
             self.journal.log_intent(kind, batch, ids, attempt)
             try:
-                result = (
-                    self.maintainer.insert_edges(batch)
-                    if inserting
-                    else self.maintainer.remove_edges(batch)
-                )
+                result = apply_batch(self.maintainer, kind, batch)
                 break
             except (BatchCrashed, SimDeadlockError) as exc:
-                if self.faults is None:
-                    raise  # a real protocol bug, not an injected fault
-                self.metrics_collector.faults["crashed_batches"] += 1
-                rep = getattr(exc, "report", None)
-                if rep is not None:
-                    # the doomed attempt still burned simulated time and
-                    # its injections must show up in the totals
-                    self.metrics_collector.fold_faults(rep)
-                    self.now += getattr(rep, "makespan", 0.0)
-                self._recover()
                 attempt += 1
-                if attempt > cfg.max_retries:
-                    for trackers in live.values():
-                        for tr in trackers:
-                            self._finish_async(
-                                tr, STATUS_ABANDONED,
-                                error=make_error(
-                                    E_RETRIES_EXHAUSTED,
-                                    f"batch crashed {attempt} time(s), "
-                                    f"giving up: {exc}",
-                                ),
-                            )
-                    self._requeue_window(kind, live)
+                if not self._recover_for_retry(exc, attempt):
+                    self._fail_live(kind, live, STATUS_ABANDONED, make_error(
+                        E_RETRIES_EXHAUSTED,
+                        f"batch crashed {attempt} time(s), giving up: {exc}",
+                    ))
                     return
-                self.metrics_collector.faults["retries"] += 1
-                self.now += cfg.retry_backoff * (2 ** (attempt - 1))
                 # the backoff advanced the clock: expire deadlines again
-                still: Dict[Edge, List[_Tracked]] = {}
-                for e, trackers in live.items():
-                    alive = []
-                    for tr in trackers:
-                        dl = tr.request.deadline
-                        if dl is not None and dl < self.now:
-                            self._finish_async(tr, STATUS_TIMED_OUT)
-                        else:
-                            alive.append(tr)
-                    if alive:
-                        still[e] = alive
-                    elif kind == "+":
-                        self._arrival.pop(e, None)
-                live = still
+                live = self._drop_expired(kind, live)
                 if not live:
                     return
                 batch = list(live)
         self.now += result.makespan
-        self._batch_results.append(result)
         self.metrics_collector.fold_report(result.report)
-        touched = {w for e in batch for w in e}
-        for s in result.stats:
-            touched.update(s.v_star)
-        epoch = self.snapshots.commit(touched)
+        epoch, touched = self.snapshots.commit_batch(batch, result)
         self.journal.log_commit(epoch)
-        self._publish_epoch(touched)
+        self.snapshots.publish_to(self._queryplane, touched)
         self._note_commit_window(kind, batch)
         detail = f"retried:{attempt}" if attempt else None
         if attempt:
@@ -871,6 +795,57 @@ class Engine:
             update_latencies=latencies,
         )
         self._maybe_checkpoint(epoch)
+
+    def _drop_expired(self, kind: str, live: Dict[Edge, List[_Tracked]]
+                      ) -> Dict[Edge, List[_Tracked]]:
+        """Deadline pass: expired requests are timed out and detached;
+        an edge with no live requester left is dropped from the batch."""
+        still: Dict[Edge, List[_Tracked]] = {}
+        for e, trackers in live.items():
+            alive = []
+            for tr in trackers:
+                dl = tr.request.deadline
+                if dl is not None and dl < self.now:
+                    self._finish_async(tr, STATUS_TIMED_OUT)
+                else:
+                    alive.append(tr)
+            if alive:
+                still[e] = alive
+            elif kind == "+":
+                # the insert never applies: no window will arm for it
+                self._arrival.pop(e, None)
+        return still
+
+    def _fail_live(self, kind: str, live: Dict[Edge, List[_Tracked]],
+                   status: str, error: Dict[str, str]) -> None:
+        """Terminally fail every requester of a batch that never
+        applied (quarantined re-validation, abandoned after retries)."""
+        for trackers in live.values():
+            for tr in trackers:
+                self._finish_async(tr, status, error=error)
+        self._requeue_window(kind, live)
+
+    def _recover_for_retry(self, exc: Exception, attempt: int) -> bool:
+        """Crash bookkeeping for failed attempt number ``attempt``: count
+        it, fold the doomed attempt's report, rebuild the maintainer
+        from the journal, and — if the retry budget allows another
+        attempt — charge its exponential backoff and return True."""
+        if self.faults is None:
+            raise exc  # a real protocol bug, not an injected fault
+        m = self.metrics_collector
+        m.faults["crashed_batches"] += 1
+        rep = getattr(exc, "report", None)
+        if rep is not None:
+            # the doomed attempt still burned simulated time and its
+            # injections must show up in the totals
+            m.fold_faults(rep)
+            self.now += getattr(rep, "makespan", 0.0)
+        self._recover()
+        if attempt > self.config.max_retries:
+            return False
+        m.faults["retries"] += 1
+        self.now += self.config.retry_backoff * (2 ** (attempt - 1))
+        return True
 
     # ------------------------------------------------------------------
     # durability: checkpoints, recovery, restart
@@ -944,11 +919,7 @@ class Engine:
         untouched — recovery never invents or loses an epoch."""
         replay = self.journal.replay()
         m, start = self._base_maintainer(replay, self.config)
-        for b in replay.batches_after(start):
-            if b.kind == "+":
-                m.insert_edges(list(b.edges))
-            else:
-                m.remove_edges(list(b.edges))
+        _replay_committed(m, replay, start)
         self.snapshots.rebind(m)
         # re-arm only after the clean rebuild: the plane must not inject
         # into replay, and its run counter keeps advancing across the
@@ -959,7 +930,7 @@ class Engine:
         # the buffers already carry the last committed epoch, but a full
         # re-publish pins them to the *rebuilt* state — recovery must
         # never leave the wait-free plane answering from a corrupt map
-        self._publish_epoch(None)
+        self.snapshots.publish_to(self._queryplane)
 
     @classmethod
     def from_journal(
@@ -996,21 +967,7 @@ class Engine:
         eng = cls(DynamicGraph(), cfg, journal=journal,
                   _maintainer=m, _epoch0=epoch0)
         m.faults = None  # replay must be fault-free
-        for b in replay.batches_after(epoch0):
-            result = (
-                m.insert_edges(list(b.edges))
-                if b.kind == "+"
-                else m.remove_edges(list(b.edges))
-            )
-            touched = {w for e in b.edges for w in e}
-            for s in result.stats:
-                touched.update(s.v_star)
-            epoch = eng.snapshots.commit(touched)
-            if epoch != b.epoch:
-                raise ValueError(
-                    f"journal epoch mismatch on replay: rebuilt epoch "
-                    f"{epoch}, journal says {b.epoch}"
-                )
+        _replay_committed(m, replay, epoch0, eng.snapshots)
         m.faults = eng.faults
         eng._seen_ids.update(replay.ids)
         eng._foreign = set(replay.foreign)
@@ -1072,7 +1029,7 @@ class Engine:
         ``commit2`` record written here is, on the coordinator, the
         protocol's decision record.
         """
-        return self._apply_cross(self._prepared.pop(tx))
+        return self._apply_cross_batch([self._prepared.pop(tx)])
 
     def commit_cross_group(self, txs: List[str]) -> int:
         """Phase 2 for a whole cross-shard *group*: apply every decided
@@ -1095,12 +1052,9 @@ class Engine:
         an ``abort2`` voids it.  Driven by the router's resolution pass
         (:meth:`repro.service.sharding.ShardedEngine.from_journals`)."""
         if commit:
-            return self._apply_cross(prep)
+            return self._apply_cross_batch([prep])
         self.journal.log_abort2(prep.tx)
         return None
-
-    def _apply_cross(self, prep: PreparedTx) -> int:
-        return self._apply_cross_batch([prep])
 
     def _apply_cross_batch(self, preps: List[PreparedTx]) -> int:
         """Apply decided cross-shard edges to the local maintainer.
@@ -1116,44 +1070,26 @@ class Engine:
         coordinator's journal owns the redo."""
         applied = [p for p in preps if p.role != "track"]
         tracked = [p for p in preps if p.role == "track"]
-        inserting = preps[0].kind == "+"
+        kind = preps[0].kind
         makespan = 0.0
         if applied:
             batch = [p.edge for p in applied]
-            cfg = self.config
             attempt = 0
             while True:
                 try:
-                    result = (
-                        self.maintainer.insert_edges(batch)
-                        if inserting
-                        else self.maintainer.remove_edges(batch)
-                    )
+                    result = apply_batch(self.maintainer, kind, batch)
                     break
                 except (BatchCrashed, SimDeadlockError) as exc:
-                    if self.faults is None:
-                        raise
-                    self.metrics_collector.faults["crashed_batches"] += 1
-                    rep = getattr(exc, "report", None)
-                    if rep is not None:
-                        self.metrics_collector.fold_faults(rep)
-                        self.now += getattr(rep, "makespan", 0.0)
-                    self._recover()
                     attempt += 1
-                    if attempt > cfg.max_retries:
+                    if not self._recover_for_retry(exc, attempt):
                         # a decided transaction cannot be abandoned; this
                         # is only reachable with an unbounded crash budget
                         raise
-                    self.metrics_collector.faults["retries"] += 1
-                    self.now += cfg.retry_backoff * (2 ** (attempt - 1))
             makespan = result.makespan
             self.now += makespan
             self.metrics_collector.fold_report(result.report)
-            touched = {w for e in batch for w in e}
-            for s in result.stats:
-                touched.update(s.v_star)
-            epoch = self.snapshots.commit(touched)
-            self._publish_epoch(touched)
+            epoch, touched = self.snapshots.commit_batch(batch, result)
+            self.snapshots.publish_to(self._queryplane, touched)
         else:
             epoch = self.epoch
         for p in tracked:
@@ -1167,12 +1103,12 @@ class Engine:
         self.metrics_collector.admitted += n
         self.metrics_collector.committed += n
         self.metrics_collector.committed_updates += n
-        op = "insert" if inserting else "remove"
+        op = "insert" if kind == "+" else "remove"
         for _ in preps:
             self.metrics_collector.note_latency(op, makespan)
         if applied:
             self.metrics_collector.record_epoch(
-                epoch=epoch, kind=preps[0].kind, batch_size=len(applied),
+                epoch=epoch, kind=kind, batch_size=len(applied),
                 makespan=makespan, committed_at=self.now,
                 update_latencies=[makespan] * len(applied),
             )

@@ -79,17 +79,15 @@ from multiprocessing import shared_memory
 from repro.graph.interning import VertexInterner
 from repro.graph.storage import INT64, int64_buffer, int64_view
 from repro.service.requests import (
-    E_BAD_REQUEST,
     E_EPOCH_TRUNCATED,
     E_EPOCH_UNAVAILABLE,
-    E_UNKNOWN_QUERY,
     E_UNKNOWN_VERTEX,
     STATUS_COMMITTED,
     STATUS_QUARANTINED,
     Response,
     make_error,
 )
-from repro.service.snapshots import QUERY_KINDS, SnapshotView
+from repro.service.snapshots import SnapshotView, answer_query
 
 Vertex = Hashable
 
@@ -618,45 +616,20 @@ class SnapshotReader:
             raw = self._answer_point_fast(kind, args)
             if raw is not None:
                 return raw
-        handler = QUERY_KINDS.get(kind or "")
-        if handler is None:
-            return None, NO_EPOCH, 0, (
-                E_UNKNOWN_QUERY,
-                f"unknown query kind {kind!r} (known: {sorted(QUERY_KINDS)})",
-            )
         spins = 0
         while True:
             b, meta, latest, refusal = self._locate(pin_epoch)
             if refusal is not None:
                 return None, latest, 0, refusal
-            seq, epoch = meta[0], meta[1]
             if kind in _POINT_KINDS:
-                value, ok = self._answer_point(b, meta, handler, kind, args)
+                view = self._point_view(b, meta, args)
             else:
                 view = self._materialize(b, meta)
-                ok = view is not None
-                value = None
-                if ok:
-                    try:
-                        value = handler(view, args)
-                    except TypeError as exc:
-                        return None, epoch, self._staleness(epoch, latest), (
-                            E_BAD_REQUEST,
-                            f"bad arguments for {kind!r}: {exc}",
-                        )
-            if not ok:
-                spins = self._spin(spins)
-                continue
-            if isinstance(value, _BadArgs):
-                return None, epoch, self._staleness(epoch, latest), (
-                    E_BAD_REQUEST, value.message,
-                )
-            if kind == "core" and value is None:
-                return None, epoch, self._staleness(epoch, latest), (
-                    E_UNKNOWN_VERTEX,
-                    f"vertex {args[0]!r} unknown at epoch {epoch}",
-                )
-            return value, epoch, self._staleness(epoch, latest), None
+            if view is not None:
+                break
+            spins = self._spin(spins)
+        value, err = answer_query(view, kind, args)
+        return value, view.epoch, self._staleness(view.epoch, latest), err
 
     def _staleness(self, epoch: int, latest: int) -> int:
         """Epoch distance from the freshest published buffer as of this
@@ -714,27 +687,21 @@ class SnapshotReader:
         except TypeError:
             return None  # bad k: the general path builds the refusal
 
-    def _answer_point(self, b: int, meta: Tuple[int, ...], handler,
-                      kind: str, args: Tuple):
+    def _point_view(self, b: int, meta: Tuple[int, ...],
+                    args: Tuple) -> Optional[SnapshotView]:
         """Point kinds (``core``/``in_k_core``) skip the payload copy: a
-        single slot load under the seqlock, dispatched through the same
-        :data:`QUERY_KINDS` handler over a one-vertex view so the
-        semantics cannot diverge from the in-engine path."""
-        seq, _epoch, _min_epoch, n, vlen, vcount = meta
-        if not args:
-            return _BadArgs(f"bad arguments for {kind!r}: missing vertex"), True
-        u = args[0]
+        single slot load under the seqlock, as a one-vertex view that
+        :func:`~repro.service.snapshots.answer_query` answers exactly as
+        the in-engine path does.  ``None`` on a torn read."""
+        seq, epoch, _min_epoch, n, vlen, vcount = meta
+        u = args[0] if args else None
         self._decode_vocab(vcount, vlen)
         slot = self._slots.get(u)
         hdr = self._bufs[b].i64
         val = hdr[HEADER_SLOTS + slot] if slot is not None and slot < n else CORE_UNKNOWN
         if hdr[QP_SEQ_ECHO] != seq or hdr[QP_SEQ] != seq:
-            return None, False
-        view = SnapshotView(meta[1], {} if val == CORE_UNKNOWN else {u: val})
-        try:
-            return handler(view, args), True
-        except TypeError as exc:
-            return _BadArgs(f"bad arguments for {kind!r}: {exc}"), True
+            return None
+        return SnapshotView(epoch, {} if val == CORE_UNKNOWN else {u: val})
 
     def respond(self, kind: str, args: Tuple = (),
                 pin_epoch: Optional[int] = None,
@@ -762,15 +729,6 @@ class SnapshotReader:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class _BadArgs:
-    """In-band marker for a TypeError raised under the seqlock."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str) -> None:
-        self.message = message
 
 
 #: kinds answered from a single payload slot (no full-map copy)

@@ -63,9 +63,8 @@ from repro.service.engine import Engine, EngineConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import (
     E_BAD_REQUEST,
+    E_DUPLICATE_ID,
     E_SELF_LOOP,
-    E_UNKNOWN_QUERY,
-    E_UNKNOWN_VERTEX,
     STATUS_COMMITTED,
     STATUS_PENDING,
     STATUS_QUARANTINED,
@@ -73,7 +72,7 @@ from repro.service.requests import (
     Response,
     make_error,
 )
-from repro.service.snapshots import QUERY_KINDS, SnapshotView
+from repro.service.snapshots import SnapshotView, answer_query
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -414,7 +413,7 @@ class ShardedEngine:
             self._seq += 1
         elif rid in self._seen_ids:
             self.metrics_collector.admitted += 1
-            return self._quarantine(request, rid, E_BAD_REQUEST,
+            return self._quarantine(request, rid, E_DUPLICATE_ID,
                                     f"request id {rid!r} already seen")
         self._seen_ids.add(rid)
         if request.op == "query":
@@ -621,26 +620,10 @@ class ShardedEngine:
     def _submit_query(self, request: Request, rid: str) -> Response:
         self.metrics_collector.admitted += 1
         self.now += self.config.query_cost
-        handler = QUERY_KINDS.get(request.kind or "")
-        if handler is None:
-            return self._quarantine(
-                request, rid, E_UNKNOWN_QUERY,
-                f"unknown query kind {request.kind!r} "
-                f"(known: {sorted(QUERY_KINDS)})",
-            )
         view = self.view()
-        try:
-            value = handler(view, request.args)
-        except TypeError as exc:
-            return self._quarantine(
-                request, rid, E_BAD_REQUEST,
-                f"bad arguments for {request.kind!r}: {exc}",
-            )
-        if request.kind == "core" and value is None:
-            return self._quarantine(
-                request, rid, E_UNKNOWN_VERTEX,
-                f"vertex {request.args[0]!r} unknown at epoch {view.epoch}",
-            )
+        value, err = answer_query(view, request.kind, request.args)
+        if err is not None:
+            return self._quarantine(request, rid, *err)
         m = self.metrics_collector
         m.committed += 1
         m.committed_queries += 1

@@ -11,15 +11,16 @@ onto our order-based maintainer.
 Storage is delta-based, not copy-based: :class:`SnapshotStore` records
 each commit's touched vertices into a :class:`repro.core.history.CoreHistory`
 (O(|V*|) per epoch), and materializes a full core map per epoch lazily,
-with a small LRU cache so the common case — many queries against the
-latest epoch — pays the materialization once.
+with a small LRU cache (:data:`CACHE_EPOCHS` views) so the common case —
+many queries against the latest epoch — pays the materialization once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import (
-    Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple,
+    Any, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.core.history import CoreHistory
@@ -31,10 +32,22 @@ from repro.core.queries import (
     k_shell,
     shell_histogram,
 )
+from repro.service.requests import (
+    E_BAD_REQUEST,
+    E_UNKNOWN_QUERY,
+    E_UNKNOWN_VERTEX,
+)
 
 Vertex = Hashable
 
-__all__ = ["FrozenCoreMap", "SnapshotStore", "SnapshotView", "QUERY_KINDS"]
+__all__ = [
+    "FrozenCoreMap", "SnapshotStore", "SnapshotView", "QUERY_KINDS",
+    "CACHE_EPOCHS", "answer_query",
+]
+
+#: materialized epoch maps a :class:`SnapshotStore` keeps (LRU); evicted
+#: epochs stay answerable, rebuilt from the history deltas
+CACHE_EPOCHS = 8
 
 
 class FrozenCoreMap(dict):
@@ -157,10 +170,10 @@ class SnapshotView:
         return self._histogram
 
 
-#: the snapshot query plane: kind -> handler(view, args).  Shared by the
-#: primary :class:`~repro.service.engine.Engine` and the replication
-#: layer's :class:`~repro.replication.FollowerEngine`, so every serving
-#: surface answers exactly the same query kinds the same way.
+#: the snapshot query plane: kind -> handler(view, args).  Every serving
+#: surface (engine, sharded router, follower, query-plane reader)
+#: answers through :func:`answer_query`, so all of them answer exactly
+#: the same query kinds the same way.
 QUERY_KINDS = {
     "core": lambda view, a: view.core(*a),
     "cores": lambda view, a: view.cores(),
@@ -173,6 +186,35 @@ QUERY_KINDS = {
 }
 
 
+def answer_query(view: SnapshotView, kind: str, args: Tuple
+                 ) -> Tuple[Any, Optional[Tuple[str, str]]]:
+    """Answer one query against a committed view: ``(value, None)``, or
+    ``(None, (code, message))`` for a refusal.
+
+    The classification every serving surface shares: an unknown kind is
+    ``unknown-query``, arguments the handler rejects are
+    ``bad-request``, and ``core`` of a vertex the epoch does not know is
+    ``unknown-vertex``.  Admission, clocks and envelope stamps stay with
+    each surface.
+    """
+    handler = QUERY_KINDS.get(kind or "")
+    if handler is None:
+        return None, (
+            E_UNKNOWN_QUERY,
+            f"unknown query kind {kind!r} (known: {sorted(QUERY_KINDS)})",
+        )
+    try:
+        value = handler(view, args)
+    except TypeError as exc:
+        return None, (E_BAD_REQUEST, f"bad arguments for {kind!r}: {exc}")
+    if kind == "core" and value is None:
+        return None, (
+            E_UNKNOWN_VERTEX,
+            f"vertex {args[0]!r} unknown at epoch {view.epoch}",
+        )
+    return value, None
+
+
 class SnapshotStore:
     """Epoch ledger over a maintainer: commit deltas in, views out.
 
@@ -181,9 +223,6 @@ class SnapshotStore:
     maintainer:
         Anything exposing ``core(u)`` / ``cores()`` — the engine passes
         its :class:`~repro.parallel.batch.ParallelOrderMaintainer`.
-    cache_epochs:
-        How many materialized epoch maps to keep (LRU).  Evicted epochs
-        stay answerable — they are rebuilt from the history deltas.
     epoch0:
         First answerable epoch.  A fresh engine starts at 0; an engine
         restarted from a journal checkpoint starts at the checkpoint's
@@ -191,10 +230,7 @@ class SnapshotStore:
         :meth:`view` refuses them (``docs/faults.md``).
     """
 
-    def __init__(self, maintainer, cache_epochs: int = 8,
-                 epoch0: int = 0) -> None:
-        if cache_epochs < 1:
-            raise ValueError("cache_epochs must be >= 1")
+    def __init__(self, maintainer, epoch0: int = 0) -> None:
         self.history = CoreHistory(maintainer)
         self.history.t = epoch0
         self.min_epoch = epoch0
@@ -203,7 +239,6 @@ class SnapshotStore:
         #: one-copy-per-epoch ``cores()`` export effective across
         #: repeated ``view()`` calls at the same epoch.
         self._cache: "OrderedDict[int, SnapshotView]" = OrderedDict()
-        self._cache_epochs = cache_epochs
         self._cache[epoch0] = SnapshotView(epoch0, dict(maintainer.cores()))
 
     # ------------------------------------------------------------------
@@ -229,6 +264,30 @@ class SnapshotStore:
             self._remember(epoch, SnapshotView(epoch, cur))
         return epoch
 
+    def commit_batch(self, batch: Sequence[Tuple[Vertex, Vertex]],
+                     result) -> Tuple[int, Set[Vertex]]:
+        """Commit an applied maintainer batch as the next epoch.
+
+        OurI/OurR name exactly the vertices whose cores may have moved:
+        the batch endpoints plus every ``V*`` in ``result.stats``.
+        Returns the new epoch and that touched set, which also bounds
+        the query-plane mirror update (:meth:`publish_to`)."""
+        touched = {w for e in batch for w in e}
+        for s in result.stats:
+            touched.update(s.v_star)
+        return self.commit(touched), touched
+
+    def publish_to(self, publisher, touched: Optional[Set[Vertex]] = None
+                   ) -> None:
+        """Publish the last committed epoch to a query-plane
+        :class:`~repro.service.queryplane.EpochPublisher` (no-op for
+        ``None``).  ``touched`` bounds the mirror update; ``None`` forces
+        a full rewrite (first publish, rebind, recovery)."""
+        if publisher is None:
+            return
+        view = self.view()
+        publisher.publish(view.epoch, self.min_epoch, view.mapping, touched)
+
     def view(self, epoch: Optional[int] = None) -> SnapshotView:
         """A read view at ``epoch`` (default: the last committed one)."""
         e = self.epoch if epoch is None else epoch
@@ -247,7 +306,7 @@ class SnapshotStore:
     def _remember(self, epoch: int, view: SnapshotView) -> None:
         self._cache[epoch] = view
         self._cache.move_to_end(epoch)
-        while len(self._cache) > self._cache_epochs:
+        while len(self._cache) > CACHE_EPOCHS:
             self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.service.requests import (
     STATUS_COMMITTED,
     STATUS_QUARANTINED,
 )
-from repro.service.snapshots import QUERY_KINDS
+from repro.service.snapshots import CACHE_EPOCHS, QUERY_KINDS
 
 ALL_KINDS = sorted(QUERY_KINDS)
 
@@ -343,7 +343,7 @@ class TestEvictedEpochRebuild:
         view from history deltas, so the bench's equality check is exact
         arbitrarily far behind the head."""
         eng = Engine(DynamicGraph(erdos_renyi(20, 50, seed=4)),
-                     EngineConfig(max_batch=1, snapshot_cache=2))
+                     EngineConfig(max_batch=1))
         pub = eng.enable_queryplane()
         rng = random.Random(3)
         sampled = []
@@ -355,7 +355,8 @@ class TestEvictedEpochRebuild:
                     kind = rng.choice(ALL_KINDS)
                     args = query_args(kind, 20, rng)
                     sampled.append((kind, args, r.answer(kind, args)))
-            assert eng.snapshots.epoch > 10  # far past the 2-epoch cache
+            # far past the store's LRU window
+            assert eng.snapshots.epoch > 2 * CACHE_EPOCHS
             for kind, args, (value, epoch, _, err) in sampled:
                 view = eng.snapshots.view(epoch)  # rebuilt if evicted
                 want = expected(view, kind, args)

@@ -21,8 +21,8 @@ from repro.parallel.scheduling import (
     chunk_contiguous,
     get_policy,
 )
-from repro.parallel.stream import StreamProcessor
 from repro.parallel.threads import ThreadedOrderMaintainer
+from repro.service import Engine
 
 from tests.conftest import (
     assert_cores_match_bz,
@@ -250,16 +250,17 @@ class TestWaveMetrics:
 
 
 # ----------------------------------------------------------------------
-# plumbing: engine/stream/threads accept the policy
+# plumbing: engine/threads accept the policy
 # ----------------------------------------------------------------------
-def test_stream_processor_policy_passthrough():
+def test_engine_policy_passthrough():
     edges = erdos_renyi(30, 70, seed=2)
     base, tail = split_edges(edges)
-    sp = StreamProcessor(DynamicGraph(base), num_workers=4, policy="conflict-aware")
+    eng = Engine(DynamicGraph(base), num_workers=4, policy="conflict-aware")
     for u, v in tail:
-        sp.insert(u, v)
-    sp.flush()
-    assert_cores_match_bz(sp.maintainer)
+        eng.insert(u, v)
+    eng.flush()
+    assert eng.maintainer.policy.name == "conflict-aware"
+    assert_cores_match_bz(eng.maintainer)
 
 
 def test_threaded_maintainer_policy():

@@ -2,10 +2,13 @@
 control, quarantine, deadlines, adaptive cuts, metrics accounting, and
 the snapshot-isolation acceptance criterion."""
 
+import gc
+
 import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi
+from repro.parallel.batch import BatchResult
 from repro.service import Engine, EngineConfig, Request
 
 
@@ -236,3 +239,23 @@ class TestEngineLifecycle:
         assert e["latency"]["count"] == 2
         assert m["latency"]["update"]["count"] == 2
         assert m["latency"]["update"]["max"] > 0
+
+
+class TestBoundedRetention:
+    def test_batch_results_do_not_accumulate(self):
+        """A committed batch leaves no per-batch report behind: the live
+        BatchResult count after 300 single-edge flushes is the count
+        after the first one."""
+        def live_results():
+            gc.collect()
+            return sum(isinstance(o, BatchResult) for o in gc.get_objects())
+
+        eng = Engine(DynamicGraph())
+        eng.insert(0, 1)
+        eng.flush()
+        after_one = live_results()
+        for i in range(1, 300):
+            eng.insert(i, i + 1)
+            eng.flush()
+        assert eng.epoch == 300
+        assert live_results() <= after_one

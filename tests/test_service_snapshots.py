@@ -8,7 +8,12 @@ from repro.core.history import CoreHistory
 from repro.core.maintainer import OrderMaintainer
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.parallel.batch import ParallelOrderMaintainer
-from repro.service.snapshots import FrozenCoreMap, SnapshotStore, SnapshotView
+from repro.service.snapshots import (
+    CACHE_EPOCHS,
+    FrozenCoreMap,
+    SnapshotStore,
+    SnapshotView,
+)
 
 
 def triangle_plus_tail():
@@ -73,15 +78,16 @@ class TestSnapshotStore:
         assert v.core(99) is None and 99 not in v
 
     def test_evicted_epochs_rebuilt_from_deltas(self):
-        g = DynamicGraph([(i, i + 1) for i in range(10)])
+        commits = CACHE_EPOCHS + 3  # past the LRU: early epochs evicted
+        g = DynamicGraph([(i, i + 1) for i in range(commits + 5)])
         m = ParallelOrderMaintainer(g, num_workers=2)
-        store = SnapshotStore(m, cache_epochs=2)
+        store = SnapshotStore(m)
         snapshots = {0: store.view(0).cores()}
-        for i in range(5):
+        for i in range(commits):
             res = m.insert_edges([(i, i + 5)])
-            touched = {i, i + 5} | {w for s in res.stats for w in s.v_star}
-            e = store.commit(touched)
+            e, _ = store.commit_batch([(i, i + 5)], res)
             snapshots[e] = dict(m.cores())
+        assert store.epoch == commits > CACHE_EPOCHS
         # every historical epoch answers correctly even after eviction
         for e, cores in snapshots.items():
             assert store.view(e).cores() == cores
@@ -131,6 +137,3 @@ class TestSnapshotStore:
             store.view(7)
         with pytest.raises(ValueError):
             store.view(-1)
-        with pytest.raises(ValueError):
-            SnapshotStore(ParallelOrderMaintainer(triangle_plus_tail()),
-                          cache_epochs=0)
