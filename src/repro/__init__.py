@@ -8,13 +8,14 @@ Order-Based Core Maintenance in Dynamic Graphs*, ICPP 2023:
   Order-Maintenance list;
 * the paper's contribution, Parallel-Order (OurI/OurR), run on a
   discrete-event simulated multicore (or real threads for protocol
-  validation);
+  validation) — the paper-reproduction backend;
 * the prior-art baselines: sequential Traversal (TI/TR), Join-Edge-Set
   (JEI/JER) and Matching (MI/MR) parallel batch algorithms;
 * graph generators, dataset stand-ins, and a benchmark harness
   regenerating every table and figure of the paper's evaluation;
 * a streaming serving engine (:mod:`repro.service`): adaptive
-  micro-batching over the parallel algorithms, snapshot-isolated reads
+  micro-batching over the sequential OI/OR by default (the simulated
+  parallel algorithms on request), snapshot-isolated reads
   against committed epochs, admission control, and a metrics surface
   (``repro-serve`` CLI).
 
@@ -57,12 +58,7 @@ from repro.core.queries import (
     shell_histogram,
     subcore,
 )
-from repro.parallel.batch import BatchResult, ParallelOrderMaintainer
-from repro.parallel.costs import CostModel
-from repro.parallel.runtime import SimDeadlockError, SimMachine, SimReport
-from repro.baselines.join_edge_set import JoinEdgeSetMaintainer
-from repro.baselines.matching import MatchingMaintainer
-from repro.parallel.threads import ThreadedOrderMaintainer
+from repro.core.maintainer import BatchResult, DirectOrderMaintainer
 from repro.service import (
     Engine,
     EngineConfig,
@@ -70,13 +66,37 @@ from repro.service import (
     Response,
     SnapshotView,
 )
-from repro.weighted import (
-    WeightedCoreMaintainer,
-    WeightedDynamicGraph,
-    weighted_core_decomposition,
-)
 
 __version__ = "1.0.0"
+
+#: names served from the simulated machine and the modules built on it,
+#: imported on first access (PEP 562): a serving process on the default
+#: direct kernel never loads the simulator.
+_LAZY = {
+    "ParallelOrderMaintainer": "repro.parallel.batch",
+    "CostModel": "repro.parallel.costs",
+    "SimMachine": "repro.parallel.runtime",
+    "SimReport": "repro.parallel.runtime",
+    "SimDeadlockError": "repro.parallel.runtime",
+    "JoinEdgeSetMaintainer": "repro.baselines.join_edge_set",
+    "MatchingMaintainer": "repro.baselines.matching",
+    "ThreadedOrderMaintainer": "repro.parallel.threads",
+    "WeightedDynamicGraph": "repro.weighted",
+    "WeightedCoreMaintainer": "repro.weighted",
+    "weighted_core_decomposition": "repro.weighted",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "DynamicGraph",
@@ -94,6 +114,7 @@ __all__ = [
     "core_histogram",
     "park_decomposition",
     "OrderMaintainer",
+    "DirectOrderMaintainer",
     "CoreHistory",
     "TraversalMaintainer",
     "k_core_vertices",

@@ -28,8 +28,8 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.decomposition import core_decomposition
 from repro.baselines.joint_traversal import insert_group, remove_group
-from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.parallel.batch import BatchResult
+from repro.graph.dynamic_graph import DynamicGraph
+from repro.core.maintainer import BatchResult, validate_batch
 from repro.parallel.costs import CostModel
 from repro.parallel.runtime import SimReport
 from repro.baselines.scheduling import lpt_makespan
@@ -74,20 +74,6 @@ class JoinEdgeSetMaintainer:
             )
 
     # ------------------------------------------------------------------
-    def _validate(self, edges: Sequence[Edge], inserting: bool) -> None:
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop in batch: {u!r}")
-            e = canonical_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge in batch: {e!r}")
-            seen.add(e)
-            if inserting and self.graph.has_edge(u, v):
-                raise ValueError(f"edge already in graph: {e!r}")
-            if not inserting and not self.graph.has_edge(u, v):
-                raise KeyError(f"edge not in graph: {e!r}")
-
     def _group_by_level(self, edges: Sequence[Edge]) -> Dict[int, List[Edge]]:
         groups: Dict[int, List[Edge]] = {}
         for u, v in edges:
@@ -97,7 +83,7 @@ class JoinEdgeSetMaintainer:
         return groups
 
     def _run(self, edges: Sequence[Edge], inserting: bool) -> BatchResult:
-        self._validate(edges, inserting)
+        validate_batch(self.graph, edges, inserting)
         if inserting:
             for u, v in edges:
                 for x in (u, v):

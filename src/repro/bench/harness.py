@@ -200,10 +200,16 @@ def run_chaos(
     restarts: int = 2,
     verify_determinism: bool = True,
     check: bool = False,
+    backend: str = "direct",
 ) -> Dict[str, object]:
     """The ``chaos`` workload: the serving engine under a seeded fault
     schedule, with crash recovery and simulated process restarts, judged
     differentially against an uninterrupted run.
+
+    ``backend`` picks where faults land: ``"direct"`` (the serving
+    default) consults the plane once per edge — crashes and stalls;
+    ``"sim"`` injects at every worker event of the simulated machine,
+    acquire-timeouts included (``docs/faults.md``).
 
     Three engines see the same trace: a **faulty** engine (fault plane
     armed, WAL journal, periodic checkpoints, retries sized above the
@@ -237,9 +243,10 @@ def run_chaos(
     faulty_cfg = EngineConfig(
         max_batch=max_batch, num_workers=workers, seed=seed,
         faults=spec, checkpoint_every=checkpoint_every,
-        max_retries=budget + 1,
+        max_retries=budget + 1, backend=backend,
     )
-    clean_cfg = EngineConfig(max_batch=max_batch, num_workers=workers, seed=seed)
+    clean_cfg = EngineConfig(max_batch=max_batch, num_workers=workers,
+                             seed=seed, backend=backend)
     initial, trace = service_trace(dataset, ops, query_rate=query_rate, seed=seed)
 
     restart_every = len(trace) // (restarts + 1) if restarts else len(trace) + 1
@@ -778,14 +785,14 @@ def run_sharding(
     seed: int = 0,
     crash_txs: Sequence[int] = (0, 5),
 ) -> Dict[str, object]:
-    """Sharded scale-out workload: process backend vs one thread engine.
+    """Sharded scale-out workload: process backend vs one direct engine.
 
     Drives the same uniform update trace
     (:func:`repro.bench.workloads.uniform_update_trace` — the
     cross-shard *worst case*: at N shards a fraction (N-1)/N of ops
     spans two shards) through
 
-    * a single :class:`~repro.service.engine.Engine` on the thread
+    * a single :class:`~repro.service.engine.Engine` on the direct
       backend, and
     * a :class:`~repro.service.sharding.ShardedEngine` on the process
       backend with ``shards`` OS-process workers,
@@ -827,7 +834,7 @@ def run_sharding(
     for _ in range(repeats):
         t0 = time.perf_counter()
         mono = Engine(DynamicGraph(),
-                      EngineConfig(backend="thread", num_workers=shards))
+                      EngineConfig(backend="direct", num_workers=shards))
         for op, u, v in trace:
             getattr(mono, op)(u, v)
         mono.flush()
@@ -1456,7 +1463,7 @@ def fig7_stability(
 # traffic: sliding-window SLO attainment per shape (docs/traffic.md)
 # ----------------------------------------------------------------------
 def traffic_profile(shape: str, *, workers: int = 4, seed: int = 0,
-                    backend: str = "sim") -> Dict[str, object]:
+                    backend: str = "direct") -> Dict[str, object]:
     """The bench's per-shape engine profile.  The three in-capacity
     shapes run unbounded admission with time-based cuts; ``overload``
     squeezes the ingress queue (backpressure → ``rejected``) and arms a
@@ -1490,7 +1497,7 @@ def run_traffic(
     query_mix: float = 0.2,
     seed: int = 0,
     workers: int = 4,
-    backend: str = "sim",
+    backend: str = "direct",
     trace_path: Optional[str] = None,
     verify_boundaries: bool = True,
     boundary_limit: Optional[int] = 8,

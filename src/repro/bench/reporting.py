@@ -139,13 +139,16 @@ def render_service_metrics(metrics: Mapping, max_epochs: int = 8) -> str:
     ``repro.service.metrics``) as the paper-style text block the
     ``service`` bench experiment and ``repro-serve`` print.
 
-    Shows the request accounting (with the quiescence invariant spelled
-    out), cut-reason counters, queue depths, latency percentiles per
-    request class, the folded simulation totals, and the head of the
-    per-epoch commit log."""
+    Shows the service clock with its unit (``clock_unit``), the request
+    accounting (with the quiescence invariant spelled out), cut-reason
+    counters, queue depths, latency percentiles per request class, the
+    folded batch-report totals, and the head of the per-epoch commit
+    log."""
     c = metrics["counters"]
+    unit = metrics.get("clock_unit", "sim")
     lines = [
-        f"simulated time {metrics['now']:.0f}  epochs {metrics['epoch']}",
+        f"service clock {metrics['now']:.0f} ({unit} units)  "
+        f"epochs {metrics['epoch']}",
         (
             f"admitted {c['admitted']} == committed {c['committed']} "
             f"+ quarantined {c['quarantined']} + timed_out {c['timed_out']} "
@@ -167,7 +170,7 @@ def render_service_metrics(metrics: Mapping, max_epochs: int = 8) -> str:
     for cls in ("update", "query"):
         lat = metrics["latency"][cls]
         lines.append(
-            f"{cls} latency (sim units): n={lat['count']} mean={lat['mean']:.1f} "
+            f"{cls} latency ({unit} units): n={lat['count']} mean={lat['mean']:.1f} "
             f"p50={lat['p50']:.1f} p90={lat['p90']:.1f} p99={lat['p99']:.1f} "
             f"max={lat['max']:.1f}"
         )
@@ -346,7 +349,7 @@ def render_sharding(cell: Mapping) -> str:
         ),
         (
             f"wall-clock (best of {cell['repeats']}): "
-            f"thread monolith {cell['mono_wall_s']:.3f} s  "
+            f"direct monolith {cell['mono_wall_s']:.3f} s  "
             f"process sharded {cell['shard_wall_s']:.3f} s  "
             f"-> {cell['speedup']:.2f}x"
         ),

@@ -9,7 +9,8 @@
   sequential Simplified-Order algorithms OI (Algorithms 7-9) and OR
   (Algorithm 10).
 * :mod:`repro.core.traversal` — the sequential Traversal baselines TI/TR.
-* :mod:`repro.core.maintainer` — user-facing facades tying it together.
+* :mod:`repro.core.maintainer` — user-facing facades tying it together,
+  including the batch facade the serving engine runs by default.
 """
 
 from repro.core.decomposition import (
@@ -20,7 +21,11 @@ from repro.core.decomposition import (
 )
 from repro.core.history import CoreHistory
 from repro.core.korder import KOrder
-from repro.core.maintainer import OrderMaintainer, TraversalMaintainer
+from repro.core.maintainer import (
+    DirectOrderMaintainer,
+    OrderMaintainer,
+    TraversalMaintainer,
+)
 from repro.core.queries import (
     all_subcores,
     core_components,
@@ -41,6 +46,7 @@ __all__ = [
     "KOrder",
     "CoreHistory",
     "OrderMaintainer",
+    "DirectOrderMaintainer",
     "TraversalMaintainer",
     "k_core_vertices",
     "k_core_subgraph",

@@ -2,7 +2,7 @@
 
 ``repro.faults`` is the failure plane of the reproduction: a seeded
 :class:`FaultPlane` injects ``crash`` / ``stall`` / ``acquire-timeout``
-events into both execution backends, and :class:`BatchCrashed` is the
+events into the execution backends, and :class:`BatchCrashed` is the
 signal the serving engine's WAL/replay layer recovers from.  See
 ``docs/faults.md`` for the taxonomy and the recovery protocol.
 """

@@ -3,10 +3,14 @@
 The serving engine's correctness story (k-order locking, conditional
 locks, the ``V+`` search set) is exercised by the rest of the suite only
 on *clean* executions.  This module makes failures first-class: a
-:class:`FaultPlane` watches every event a worker yields to an execution
-backend (:class:`~repro.parallel.runtime.SimMachine` or
-:class:`~repro.parallel.threads.ThreadMachine`) and deterministically
-decides whether to inject one of three faults at that point:
+:class:`FaultPlane` is consulted at every injection point of an
+execution backend and deterministically decides whether to inject one
+of three faults there.  The simulated machine
+(:class:`~repro.parallel.runtime.SimMachine`) and the thread harness
+(:class:`~repro.parallel.threads.ThreadMachine`) consult it at every
+event a worker yields; the serving engine's direct kernel
+(:class:`~repro.core.maintainer.DirectOrderMaintainer`) consults it once
+per edge as worker 0's ``tick`` — so it sees crashes and stalls only:
 
 ``crash``
     The worker dies on the spot — mid-edge, possibly holding locks.  The
@@ -105,7 +109,8 @@ class BatchCrashed(RuntimeError):
     serving engine can discard the state and re-run recovery from the
     journal.  ``report`` carries the partial
     :class:`~repro.parallel.runtime.SimReport` (or
-    :class:`~repro.parallel.threads.ThreadReport`) of the doomed run.
+    :class:`~repro.parallel.threads.ThreadReport`, or
+    :class:`~repro.core.maintainer.DirectReport`) of the doomed run.
     """
 
     def __init__(self, message: str, report=None):

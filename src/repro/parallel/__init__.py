@@ -31,33 +31,36 @@ Modules
 * :mod:`repro.parallel.procs`    — process-backend shard workers
 """
 
-from repro.parallel.costs import CostModel
-from repro.parallel.runtime import SimMachine, SimReport, SimDeadlockError
-from repro.parallel.batch import ParallelOrderMaintainer
-from repro.parallel.hindex import h_index, refine_cores
-from repro.parallel.scheduling import (
-    POLICIES,
-    ConflictAwarePolicy,
-    FifoPolicy,
-    LptPolicy,
-    Schedule,
-    SchedulingPolicy,
-    get_policy,
-)
+import importlib
 
-__all__ = [
-    "CostModel",
-    "SimMachine",
-    "SimReport",
-    "SimDeadlockError",
-    "ParallelOrderMaintainer",
-    "SchedulingPolicy",
-    "Schedule",
-    "FifoPolicy",
-    "LptPolicy",
-    "ConflictAwarePolicy",
-    "POLICIES",
-    "get_policy",
-    "h_index",
-    "refine_cores",
-]
+#: public name -> defining module.  Resolved on first attribute access
+#: (PEP 562), so importing one submodule — ``repro.parallel.costs`` for
+#: the cost model, ``repro.parallel.hindex`` for the shard stitch —
+#: does not load the simulated machine behind the others.
+_EXPORTS = {
+    "CostModel": "repro.parallel.costs",
+    "SimMachine": "repro.parallel.runtime",
+    "SimReport": "repro.parallel.runtime",
+    "SimDeadlockError": "repro.parallel.runtime",
+    "ParallelOrderMaintainer": "repro.parallel.batch",
+    "h_index": "repro.parallel.hindex",
+    "refine_cores": "repro.parallel.hindex",
+    "POLICIES": "repro.parallel.scheduling",
+    "ConflictAwarePolicy": "repro.parallel.scheduling",
+    "FifoPolicy": "repro.parallel.scheduling",
+    "LptPolicy": "repro.parallel.scheduling",
+    "Schedule": "repro.parallel.scheduling",
+    "SchedulingPolicy": "repro.parallel.scheduling",
+    "get_policy": "repro.parallel.scheduling",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

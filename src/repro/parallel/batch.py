@@ -18,19 +18,17 @@ the same thing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.boundary import Boundary
-from repro.core.korder import KOrder
+from repro.core.maintainer import BatchResult, OrderFacade, validate_batch
 from repro.core.state import InsertStats, OrderState, RemoveStats
 from repro.faults.plane import BatchCrashed, as_plane
-from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.parallel.costs import CostModel
 from repro.parallel.parallel_insert import insert_worker
 from repro.parallel.parallel_remove import remove_worker
 from repro.parallel.runtime import SimMachine, SimReport
-from repro.parallel.scheduling import Schedule, chunk_contiguous, get_policy
+from repro.parallel.scheduling import chunk_contiguous, get_policy
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -43,56 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class BatchResult:
-    """Outcome of one parallel batch."""
-
-    report: SimReport
-    stats: list = field(default_factory=list)
-    #: the schedule that produced this run (worker assignments, waves,
-    #: conflict counters) — None only for legacy constructions
-    plan: Optional[Schedule] = None
-
-    @property
-    def makespan(self) -> float:
-        """Simulated parallel running time (work units)."""
-        return self.report.makespan
-
-    def v_plus_sizes(self) -> List[int]:
-        """``|V+|`` per processed edge — the paper's Figure 5 data."""
-        return [len(s.v_plus) for s in self.stats]
-
-
-def validate_batch(graph: DynamicGraph, edges: Sequence[Edge], inserting: bool) -> None:
-    """Reject a malformed homogeneous batch before any mutation.
-
-    Raises ``ValueError`` for self-loops, in-batch duplicates and
-    insertions of present edges; ``KeyError`` for removals of absent
-    edges.  Shared by the maintainer and by the serving engine's
-    pre-apply guard (:mod:`repro.service.engine`), so both layers reject
-    exactly the same inputs.
-    """
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop in batch: {u!r}")
-        e = canonical_edge(u, v)
-        if e in seen:
-            raise ValueError(f"duplicate edge in batch: {e!r}")
-        seen.add(e)
-        if inserting and graph.has_edge(u, v):
-            raise ValueError(f"edge already in graph: {e!r}")
-        if not inserting and not graph.has_edge(u, v):
-            raise KeyError(f"edge not in graph: {e!r}")
-
-
 # Contiguous chunking now lives in repro.parallel.scheduling (it is the
 # fifo policy); re-exported here because it is Algorithm 3 line 1 and
 # long-standing callers import it from this module.
 partition_batch = chunk_contiguous
 
 
-class ParallelOrderMaintainer:
+class ParallelOrderMaintainer(OrderFacade):
     """OurI/OurR on the simulated multicore.
 
     Parameters
@@ -140,12 +95,7 @@ class ParallelOrderMaintainer:
         policy="fifo",
         faults=None,
     ) -> None:
-        # Intern-once boundary: external ids become dense ints here, the
-        # workers and all shared state run int-natively underneath.
-        self.boundary = Boundary(graph)
-        self.state = OrderState.from_graph(
-            self.boundary.substrate, strategy=strategy, capacity=capacity
-        )
+        super().__init__(graph, strategy=strategy, capacity=capacity)
         self.num_workers = num_workers
         self.costs = costs or CostModel.from_env()
         self.schedule = schedule
@@ -153,87 +103,20 @@ class ParallelOrderMaintainer:
         self.policy = get_policy(policy)
         self.detector = detector
         self.faults = as_plane(faults, seed=seed)
-        if detector is not None:
+        self._adopt_state(self.state)
+
+    def _adopt_state(self, state: OrderState) -> None:
+        # the detector sees every state block, including a checkpoint's
+        self.state = state
+        if self.detector is not None:
             from repro.analysis.trace import instrument_state
 
-            instrument_state(self.state, detector)
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        graph: DynamicGraph,
-        cores: Dict[Vertex, int],
-        order: Sequence[Vertex],
-        **kwargs,
-    ) -> "ParallelOrderMaintainer":
-        """Rebuild a maintainer whose k-order is *exactly* ``order``.
-
-        This is the recovery path (:mod:`repro.service.journal`): a
-        checkpoint stores the committed graph, its core numbers and the
-        full OM order; restoring through here reproduces the pre-crash
-        order structure bit-identically, where a fresh BZ bootstrap
-        would only reproduce the cores.  ``d_out^+`` is recomputed from
-        the order (it is a pure function of order + adjacency).
-        """
-        m = cls(DynamicGraph(), **kwargs)
-        for u in order:
-            # isolated vertices (core 0, no incident edges) are in the
-            # order but not in the edge list the graph was rebuilt from
-            graph.add_vertex(u)
-        m.boundary = Boundary(graph)
-        sub = m.boundary.substrate
-        vin = m.boundary.vertex_in
-        core_in = {vin(u): k for u, k in cores.items()}
-        order_in = [vin(u) for u in order]
-        korder = KOrder.from_decomposition(
-            core_in, order_in, capacity=kwargs.get("capacity", 64), graph=sub
-        )
-        pos = {u: i for i, u in enumerate(order_in)}
-        d_out = {
-            u: sum(1 for v in sub.neighbors(u) if pos[v] > pos[u])
-            for u in order_in
-        }
-        m.state = OrderState(sub, korder, d_out)
-        if m.detector is not None:
-            from repro.analysis.trace import instrument_state
-
-            instrument_state(m.state, m.detector)
-        return m
+            instrument_state(self.state, self.detector)
 
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> DynamicGraph:
-        return self.boundary.public
-
-    def core(self, u: Vertex) -> int:
-        return self.state.korder.core[self.boundary.vertex_in(u)]
-
-    def cores(self) -> Dict[Vertex, int]:
-        return self.boundary.core_map_out(self.state.korder.core)
-
-    def order_sequence(self) -> List[Vertex]:
-        """The full OM k-order as external ids — non-decreasing in core.
-
-        This is what a checkpoint stores (:mod:`repro.service.journal`):
-        feeding it back through :meth:`from_checkpoint` reproduces the
-        live order structure bit-identically.
-        """
-        vout = self.boundary.vertex_out
-        return [vout(u) for u in self.state.korder.full_sequence()]
-
-    def check(self) -> None:
-        """Assert all steady-state invariants (differential vs. BZ)."""
-        self.state.check_invariants()
-
-    # ------------------------------------------------------------------
-    def _validate_batch(self, edges: Sequence[Edge], inserting: bool) -> None:
-        # validated against the public graph so error messages carry the
-        # caller's external ids
-        validate_batch(self.boundary.public, edges, inserting)
-
     def insert_edges(self, edges: Sequence[Edge]) -> BatchResult:
         """Parallel-InsertEdges(G, O, ΔE): insert a batch with P workers."""
-        self._validate_batch(edges, inserting=True)
+        validate_batch(self.boundary.public, edges, inserting=True)
         edges = self.boundary.edges_in(edges)
         for u, v in edges:  # sequential prologue: register new vertices
             self.state.ensure_vertex(u)
@@ -256,7 +139,7 @@ class ParallelOrderMaintainer:
 
     def remove_edges(self, edges: Sequence[Edge]) -> BatchResult:
         """Parallel-RemoveEdges(G, O, ΔE): remove a batch with P workers."""
-        self._validate_batch(edges, inserting=False)
+        validate_batch(self.boundary.public, edges, inserting=False)
         edges = self.boundary.edges_in(edges)
         plan = self.policy.plan(
             edges, self.num_workers,

@@ -97,7 +97,7 @@ def refine_round(indptr, targets, owned: Sequence[int], cur, nxt) -> int:
 def refine_cores(indptr, targets, n: int) -> List[int]:
     """In-process driver: run rounds to the fixpoint, return the cores.
 
-    This is the sim/thread-backend stitch path; the process backend runs
+    This is the in-process (direct/sim) stitch path; the process backend runs
     the identical per-round kernel distributed across shard workers
     (:mod:`repro.parallel.procs`) with the router as the barrier.
     """

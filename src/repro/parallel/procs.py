@@ -1,6 +1,6 @@
 """True-parallel process backend: shard workers in real OS processes.
 
-The ``sim`` and ``thread`` backends host every shard engine inside the
+The ``direct`` and ``sim`` backends host every shard engine inside the
 router's process.  This module is the third backend of
 :class:`~repro.service.sharding.ShardedEngine`: each shard engine runs in
 its **own OS process** (forked worker, one duplex pipe), so shards
@@ -11,10 +11,11 @@ Protocol
 --------
 The router speaks length-one request/reply frames over a
 ``multiprocessing.Pipe``: ``(op, *args)`` in, ``("ok", payload)`` or
-``("err", repr)`` back.  Workers host a *thread-backed*
+``("err", repr)`` back.  Workers host a *direct*
 :class:`~repro.service.engine.Engine` (the worker process already
-provides isolation, and the thread machine runs the maintainer without
-the sim machine's virtual-time bookkeeping) and keep the same surface
+provides isolation, and the direct kernel's deterministic service clock
+keeps process-mode latencies and deadlines in the same units, and as
+reproducible, as in-process shards) and keep the same surface
 as :class:`~repro.service.sharding.LocalShard`, so the router is
 backend-agnostic.
 

@@ -33,10 +33,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Sequence
 
-from repro.core.boundary import Boundary
-from repro.core.state import InsertStats, OrderState, RemoveStats
+from repro.core.maintainer import OrderFacade, validate_batch
+from repro.core.state import InsertStats, RemoveStats
 from repro.faults.plane import CRASH, STALL, TIMEOUT, BatchCrashed
-from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.parallel.costs import CostModel
 from repro.parallel.parallel_insert import insert_worker
 from repro.parallel.parallel_remove import remove_worker
@@ -44,8 +44,7 @@ from repro.parallel.scheduling import get_policy
 
 Key = Hashable
 
-__all__ = ["ThreadMachine", "ThreadedOrderMaintainer", "ThreadReport",
-           "ThreadBackedMaintainer", "ThreadBatchResult"]
+__all__ = ["ThreadMachine", "ThreadedOrderMaintainer", "ThreadReport"]
 
 
 @dataclass
@@ -61,20 +60,6 @@ class ThreadReport:
     stalls_injected: int = 0
     timeouts_injected: int = 0
     locks_orphaned: int = 0
-    # SimReport-compatible accounting zeros, so the serving engine's
-    # metrics fold (which speaks SimReport) accepts a thread report
-    # unchanged; real threads have no simulated clock to fill them
-    total_work: float = 0.0
-    spin_time: float = 0.0
-    contended_time: float = 0.0
-    lock_acquires: int = 0
-    lock_failures: int = 0
-
-    @property
-    def makespan(self) -> float:
-        """The thread backend's "makespan" is real elapsed seconds —
-        what the serving engine advances its clock by per batch."""
-        return self.wall_s
 
     @property
     def faulty(self) -> bool:
@@ -231,8 +216,8 @@ class ThreadMachine:
         return report
 
 
-class ThreadedOrderMaintainer:
-    """OurI/OurR executed by real threads (protocol validation backend).
+class ThreadedOrderMaintainer(OrderFacade):
+    """OurI/OurR executed by real threads (protocol validation harness).
 
     Same interface as :class:`~repro.parallel.batch.ParallelOrderMaintainer`
     but returns :class:`ThreadReport` objects (wall time, no makespan).
@@ -242,8 +227,7 @@ class ThreadedOrderMaintainer:
         self, graph: DynamicGraph, num_workers: int = 4, detector=None,
         policy="fifo", faults=None,
     ) -> None:
-        self.boundary = Boundary(graph)
-        self.state = OrderState.from_graph(self.boundary.substrate)
+        super().__init__(graph)
         self.state.korder.mutex = threading.Lock()
         self.state.t_mutex = threading.Lock()
         self.num_workers = num_workers
@@ -257,43 +241,14 @@ class ThreadedOrderMaintainer:
             instrument_state(self.state, detector)
 
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> DynamicGraph:
-        return self.boundary.public
-
-    def core(self, u) -> int:
-        return self.state.korder.core[self.boundary.vertex_in(u)]
-
-    def cores(self) -> Dict:
-        return self.boundary.core_map_out(self.state.korder.core)
-
-    def check(self) -> None:
-        self.state.check_invariants()
-
-    # ------------------------------------------------------------------
     def _plan(self, edges):
         return self.policy.plan(
             list(edges), self.num_workers, state=self.state, costs=self.costs
         )
 
-    def _validate(self, edges, inserting: bool) -> None:
-        seen = set()
-        g = self.boundary.public
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop in batch: {u!r}")
-            e = canonical_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge in batch: {e!r}")
-            seen.add(e)
-            if inserting and g.has_edge(u, v):
-                raise ValueError(f"edge already in graph: {e!r}")
-            if not inserting and not g.has_edge(u, v):
-                raise KeyError(f"edge not in graph: {e!r}")
-
     def insert_edges(self, edges) -> ThreadReport:
         edges = list(edges)
-        self._validate(edges, inserting=True)
+        validate_batch(self.boundary.public, edges, inserting=True)
         edges = self.boundary.edges_in(edges)
         for u, v in edges:
             self.state.ensure_vertex(u)
@@ -311,7 +266,7 @@ class ThreadedOrderMaintainer:
 
     def remove_edges(self, edges) -> ThreadReport:
         edges = list(edges)
-        self._validate(edges, inserting=False)
+        validate_batch(self.boundary.public, edges, inserting=False)
         edges = self.boundary.edges_in(edges)
         plan = self._plan(edges)
         outs: List[List[RemoveStats]] = []
@@ -335,115 +290,3 @@ class ThreadedOrderMaintainer:
                 report=report,
             )
         return report
-
-
-@dataclass
-class ThreadBatchResult:
-    """A threaded batch outcome shaped like
-    :class:`~repro.parallel.batch.BatchResult` — report, per-edge stats
-    and plan — so the serving engine can consume either backend through
-    one code path (``EngineConfig.backend``)."""
-
-    report: ThreadReport
-    stats: list = field(default_factory=list)
-    plan: object = None
-
-    @property
-    def makespan(self) -> float:
-        """Real elapsed seconds (the thread backend's clock unit)."""
-        return self.report.wall_s
-
-
-class ThreadBackedMaintainer(ThreadedOrderMaintainer):
-    """The thread backend behind the serving engine.
-
-    Same protocol execution as :class:`ThreadedOrderMaintainer`, but the
-    batch entry points return a :class:`ThreadBatchResult` carrying the
-    per-edge ``InsertStats``/``RemoveStats`` (the engine's snapshot
-    delta needs every ``v_star``) instead of discarding them, and the
-    checkpoint-restore constructor matches
-    :meth:`ParallelOrderMaintainer.from_checkpoint
-    <repro.parallel.batch.ParallelOrderMaintainer.from_checkpoint>` so
-    crash recovery is backend-agnostic.  Sim-only knobs (``costs``,
-    ``schedule``, ``seed``) are accepted and ignored — real threads have
-    no simulated clock.
-    """
-
-    def __init__(
-        self, graph: DynamicGraph, num_workers: int = 4, costs=None,
-        schedule: str = "min-clock", seed: int = 0, detector=None,
-        policy="fifo", faults=None,
-    ) -> None:
-        super().__init__(graph, num_workers=num_workers, detector=detector,
-                         policy=policy, faults=faults)
-        if costs is not None:
-            self.costs = costs
-
-    @classmethod
-    def from_checkpoint(cls, graph: DynamicGraph, cores: Dict, order,
-                        **kwargs) -> "ThreadBackedMaintainer":
-        """Rebuild with the k-order *exactly* ``order`` (recovery path).
-
-        Delegates the order reconstruction to the sim facade (it is
-        backend-independent state surgery) and re-arms the real mutexes
-        the thread protocol needs.
-        """
-        from repro.parallel.batch import ParallelOrderMaintainer
-
-        pm = ParallelOrderMaintainer.from_checkpoint(
-            graph, cores, order,
-            num_workers=kwargs.get("num_workers", 4),
-            policy=kwargs.get("policy", "fifo"),
-        )
-        m = cls(DynamicGraph(),
-                num_workers=kwargs.get("num_workers", 4),
-                costs=kwargs.get("costs"),
-                policy=kwargs.get("policy", "fifo"),
-                faults=kwargs.get("faults"))
-        m.boundary = pm.boundary
-        m.state = pm.state
-        m.state.korder.mutex = threading.Lock()
-        m.state.t_mutex = threading.Lock()
-        return m
-
-    def order_sequence(self) -> List:
-        """The full OM k-order as external ids (checkpoint payload)."""
-        vout = self.boundary.vertex_out
-        return [vout(u) for u in self.state.korder.full_sequence()]
-
-    def insert_edges(self, edges) -> ThreadBatchResult:
-        edges = list(edges)
-        self._validate(edges, inserting=True)
-        edges = self.boundary.edges_in(edges)
-        for u, v in edges:
-            self.state.ensure_vertex(u)
-            self.state.ensure_vertex(v)
-        plan = self._plan(edges)
-        outs: List[List[InsertStats]] = []
-        bodies = []
-        for w, chunk in enumerate(plan.assignments):
-            out: List[InsertStats] = []
-            outs.append(out)
-            bodies.append(
-                insert_worker(self.state, chunk, self.costs, out, plan.waves_for(w))
-            )
-        report = self._run(bodies)
-        stats = self.boundary.stats_out([s for out in outs for s in out])
-        return ThreadBatchResult(report=report, stats=stats, plan=plan)
-
-    def remove_edges(self, edges) -> ThreadBatchResult:
-        edges = list(edges)
-        self._validate(edges, inserting=False)
-        edges = self.boundary.edges_in(edges)
-        plan = self._plan(edges)
-        outs: List[List[RemoveStats]] = []
-        bodies = []
-        for w, chunk in enumerate(plan.assignments):
-            out: List[RemoveStats] = []
-            outs.append(out)
-            bodies.append(
-                remove_worker(self.state, chunk, self.costs, out, plan.waves_for(w))
-            )
-        report = self._run(bodies)
-        stats = self.boundary.stats_out([s for out in outs for s in out])
-        return ThreadBatchResult(report=report, stats=stats, plan=plan)

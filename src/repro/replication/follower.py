@@ -4,8 +4,10 @@ A :class:`FollowerEngine` is the replica-side half of WAL shipping: it
 **receives** primary journal records (from a
 :class:`~repro.replication.shipper.JournalShipper`), keeps them in its
 own local copy of the log, and **replays** them continuously into a
-private :class:`~repro.parallel.batch.ParallelOrderMaintainer` +
-:class:`~repro.service.snapshots.SnapshotStore` pair.  It then serves
+private maintainer + :class:`~repro.service.snapshots.SnapshotStore`
+pair.  The maintainer class comes from the same place as the primary's
+(``Engine._maintainer_cls`` of the shared config), so both break OM-order
+ties identically.  It then serves
 the exact snapshot query plane of the primary
 (:data:`~repro.service.snapshots.QUERY_KINDS`) — same kinds, same
 answers — with two extra staleness fields stamped into every response
@@ -40,8 +42,7 @@ from dataclasses import replace
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.parallel.batch import ParallelOrderMaintainer
-from repro.service.engine import EngineConfig, apply_batch
+from repro.service.engine import Engine, EngineConfig, apply_batch
 from repro.service.journal import (
     REC_CHECKPOINT,
     REC_COMMIT,
@@ -93,14 +94,16 @@ class FollowerEngine:
         self.records: List[Dict] = []
         #: how many of ``records`` have been replayed into the maintainer
         self.applied = 0
-        self.maintainer: Optional[ParallelOrderMaintainer] = None
+        self._maintainer_cls = Engine._maintainer_cls(cfg)
+        self.maintainer = None
         self.snapshots: Optional[SnapshotStore] = None
         self._pending: Optional[Dict] = None
         #: primary generation last seen in a promote record
         self.generation = 0
         self.promotions_seen = 0
         self.aborted_intents = 0
-        #: simulated time spent replaying committed batches
+        #: service time (``clock_unit`` of the config's backend) charged
+        #: by replayed batches
         self.replay_makespan = 0.0
         self.queries_served = 0
         self._qseq = 0
@@ -181,11 +184,11 @@ class FollowerEngine:
             # at every checkpoint is what keeps the follower's state
             # after record i bit-identical to a cold restart of the
             # first i records — the promotion safety property.
-            m = ParallelOrderMaintainer.from_checkpoint(
+            m = self._maintainer_cls.from_checkpoint(
                 DynamicGraph([(u, v) for u, v in rec["edges"]]),
                 {u: k for u, k in rec["cores"]},
                 list(rec["order"]),
-                **self._maintainer_kw(),
+                **Engine.maintainer_kwargs(self.config),
             )
             if self.maintainer is None:
                 # mid-stream attach: the first record a late-joining
@@ -222,18 +225,13 @@ class FollowerEngine:
             )
         self.snapshots.publish_to(self._queryplane, touched)
 
-    def _maintainer_kw(self) -> Dict[str, Any]:
-        cfg = self.config
-        return dict(num_workers=cfg.num_workers, costs=cfg.costs,
-                    schedule=cfg.schedule, seed=cfg.seed, policy=cfg.policy)
-
     def _boot(self, graph: DynamicGraph, epoch0: int) -> None:
         self._adopt(
-            ParallelOrderMaintainer(graph, **self._maintainer_kw()),
+            self._maintainer_cls(graph, **Engine.maintainer_kwargs(self.config)),
             epoch0=epoch0,
         )
 
-    def _adopt(self, m: ParallelOrderMaintainer, epoch0: int) -> None:
+    def _adopt(self, m, epoch0: int) -> None:
         self.maintainer = m
         self.snapshots = SnapshotStore(m, epoch0=epoch0)
         # a mid-stream attach moves min_epoch forward: republish so

@@ -30,7 +30,7 @@ from repro.bench.workloads import service_trace, trace_from_edges
 from repro.graph.datasets import DATASETS
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.io import read_edge_list
-from repro.service.engine import Engine, EngineConfig
+from repro.service.engine import BACKENDS, Engine, EngineConfig
 
 __all__ = ["main"]
 
@@ -57,8 +57,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=64,
                    help="micro-batch size cut threshold")
     p.add_argument("--max-delay", type=float, default=20_000.0,
-                   help="micro-batch age cut threshold (simulated units; "
-                   "0 disables)")
+                   help="micro-batch age cut threshold (service-clock "
+                   "units; 0 disables)")
     p.add_argument("--query-pressure", type=int, default=32,
                    help="queries since last commit before a staleness cut "
                    "(0 disables)")
@@ -69,13 +69,16 @@ def _parser() -> argparse.ArgumentParser:
                    default="min-clock")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--crash-rate", type=float, default=0.0,
-                   help="fault injection: per-event worker crash "
-                   "probability (0 disables the fault plane)")
+                   help="fault injection: crash probability per edge "
+                   "(direct) or per worker event (sim); 0 disables the "
+                   "fault plane")
     p.add_argument("--stall-rate", type=float, default=0.0,
-                   help="fault injection: per-event stall probability")
+                   help="fault injection: stall probability per edge "
+                   "(direct) or per worker event (sim)")
     p.add_argument("--timeout-rate", type=float, default=0.0,
                    help="fault injection: per-try acquire-timeout "
-                   "probability")
+                   "probability (sim only: the direct kernel takes no "
+                   "locks)")
     p.add_argument("--max-crashes", type=int, default=8,
                    help="fault injection: total crash budget")
     p.add_argument("--max-retries", type=int, default=16,
@@ -94,12 +97,12 @@ def _parser() -> argparse.ArgumentParser:
     shrd.add_argument("--shards", type=int, default=1,
                       help="engine shards behind the router (1 = the "
                       "classic monolithic engine, the default)")
-    shrd.add_argument("--backend", choices=("sim", "thread", "process"),
-                      default="sim",
-                      help="batch-loop substrate: 'sim' (simulated "
-                      "machine), 'thread' (real threads), 'process' "
-                      "(each shard engine in its own OS process; "
-                      "requires --shards >= 2)")
+    shrd.add_argument("--backend", choices=BACKENDS, default="direct",
+                      help="batch-loop substrate: 'direct' (sequential "
+                      "OI/OR, the default), 'sim' (OurI/OurR on the "
+                      "simulated machine, the paper-reproduction "
+                      "backend), 'process' (each shard engine in its own "
+                      "OS process; requires --shards >= 2)")
     qp = p.add_argument_group("wait-free query plane (docs/queryplane.md)")
     qp.add_argument("--readers", type=int, default=0,
                     help="OS reader processes answering queries from the "
@@ -199,8 +202,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.backend == "process" and args.shards < 2:
         print("--backend process hosts each shard engine in its own OS "
-              "process; it requires --shards >= 2 (use --backend sim or "
-              "thread for a monolithic engine)", file=sys.stderr)
+              "process; it requires --shards >= 2 (use --backend direct "
+              "or sim for a monolithic engine)", file=sys.stderr)
         return 2
     if args.readers < 0:
         print("--readers must be >= 0", file=sys.stderr)

@@ -5,10 +5,13 @@ an interleaved stream of ``insert`` / ``remove`` / ``query`` requests
 (with per-request ids and deadlines) and keeps three promises:
 
 1. **Homogeneous micro-batches.**  Updates accumulate in an adaptive
-   micro-batcher (:mod:`repro.service.batcher`) and are applied through
-   :class:`~repro.parallel.batch.ParallelOrderMaintainer` — the paper's
-   OurI/OurR — when a cut policy fires (size, elapsed simulated time,
-   query pressure, a kind conflict, or an explicit flush).
+   micro-batcher (:mod:`repro.service.batcher`) and are applied when a
+   cut policy fires (size, elapsed service time, query pressure, a kind
+   conflict, or an explicit flush) — by default through
+   :class:`~repro.core.maintainer.DirectOrderMaintainer`, the paper's
+   sequential OI/OR (``backend="direct"``), or through the simulated
+   parallel OurI/OurR (``backend="sim"``,
+   :class:`~repro.parallel.batch.ParallelOrderMaintainer`).
 
 2. **Snapshot-isolated reads.**  Queries never touch the live maintainer
    state: they answer against the last committed epoch through
@@ -22,10 +25,13 @@ an interleaved stream of ``insert`` / ``remove`` / ``query`` requests
    produce ``timed_out`` responses — a partial-failure report per batch —
    instead of raising.
 
-Time is simulated (work units, see :mod:`repro.parallel.costs`): the
-engine clock advances by a small ingest/query cost per request and by
-each batch's simulated makespan at commit, which is what makes latency
-percentiles and deadline semantics deterministic and testable.
+Time is a deterministic service clock in cost-model work units (see
+:mod:`repro.parallel.costs`): it advances by a small ingest/query cost
+per request and, at commit, by each batch's charge — the direct
+kernel's ``DIRECT_UNIT * (1 + |V+| + |V*|)`` per edge, or the simulated
+machine's makespan on ``sim``.  That is what makes latency percentiles
+and deadline semantics deterministic and testable; ``metrics()`` names
+the unit in ``clock_unit``.
 
 >>> from repro.graph.dynamic_graph import DynamicGraph
 >>> from repro.service import Engine
@@ -49,11 +55,10 @@ from typing import (
     Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
 )
 
+from repro.core.maintainer import DirectOrderMaintainer, validate_batch
 from repro.faults.plane import BatchCrashed, as_plane
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.parallel.batch import ParallelOrderMaintainer, validate_batch
 from repro.parallel.costs import CostModel
-from repro.parallel.runtime import SimDeadlockError
 from repro.service.batcher import (
     CANCEL,
     COALESCE,
@@ -88,7 +93,14 @@ from repro.service.snapshots import SnapshotStore, SnapshotView, answer_query
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
 
-__all__ = ["Engine", "EngineConfig"]
+__all__ = ["Engine", "EngineConfig", "BACKENDS", "CLOCK_UNITS"]
+
+#: the batch-loop backends ``EngineConfig.backend`` accepts, each with
+#: the unit its service clock runs in (``metrics()["clock_unit"]``): cost-
+#: model work units charged by the direct kernel (``process`` shards host
+#: direct engines), or makespans of the simulated machine
+CLOCK_UNITS = {"direct": "cost", "sim": "sim", "process": "cost"}
+BACKENDS = tuple(CLOCK_UNITS)
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class EngineConfig:
     ``max_pending`` bounds the ingress queue — an update arriving while
     that many operations are pending is rejected (backpressure);
     ``None`` disables the bound.  Costs: ``ingest_cost`` / ``query_cost``
-    advance the simulated clock per request.
+    advance the service clock per request.
 
     Faults & durability (``docs/faults.md``): ``faults`` arms a seeded
     :class:`~repro.faults.FaultSpec` / :class:`~repro.faults.FaultPlane`
@@ -108,10 +120,11 @@ class EngineConfig:
     write-ahead journal to a file; ``checkpoint_every`` writes a full
     graph+cores+order checkpoint record every N epochs; a crashed batch
     is retried up to ``max_retries`` times after recovery, each retry
-    preceded by a simulated ``retry_backoff * 2**(attempt-1)`` delay.
+    preceded by a ``retry_backoff * 2**(attempt-1)`` service-clock delay.
 
-    The remaining fields are forwarded to
-    :class:`ParallelOrderMaintainer`.
+    The remaining fields are forwarded to the backend's maintainer;
+    ``costs``, ``schedule`` and ``policy`` only shape the simulated
+    machine (``backend="sim"``).
     """
 
     max_batch: int = 512
@@ -121,11 +134,12 @@ class EngineConfig:
     ingest_cost: float = 1.0
     query_cost: float = 5.0
     num_workers: int = 4
-    #: how the batch loop executes: ``"sim"`` (simulated machine),
-    #: ``"thread"`` (real threads), or ``"process"`` (shard workers in
-    #: real OS processes — requires the sharded engine,
-    #: :mod:`repro.service.sharding`)
-    backend: str = "sim"
+    #: how the batch loop executes: ``"direct"`` (sequential OI/OR, the
+    #: serving default), ``"sim"`` (OurI/OurR on the simulated machine —
+    #: the paper-reproduction backend), or ``"process"`` (shard workers
+    #: in real OS processes, each hosting a direct engine — requires the
+    #: sharded engine, :mod:`repro.service.sharding`)
+    backend: str = "direct"
     #: number of engine shards (1 = the classic monolithic engine;
     #: >1 routes through :class:`~repro.service.sharding.ShardedEngine`)
     shards: int = 1
@@ -148,7 +162,7 @@ class EngineConfig:
     checkpoint_every: Optional[int] = None
     #: crashed-batch retries before the batch is abandoned
     max_retries: int = 3
-    #: simulated backoff before retry N is 2^(N-1) times this
+    #: service-clock backoff before retry N is 2^(N-1) times this
     retry_backoff: float = 64.0
     #: sliding-window retention in *event-clock* units (``docs/traffic.md``):
     #: every committed insert arms a deterministic expiry remove at
@@ -170,10 +184,10 @@ class EngineConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
-        if self.backend not in ("sim", "thread", "process"):
+        if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
-                "(use 'sim', 'thread' or 'process')"
+                "(use 'direct', 'sim' or 'process')"
             )
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
@@ -240,7 +254,7 @@ class Engine:
         config: Optional[EngineConfig] = None,
         *,
         journal: Optional[EdgeJournal] = None,
-        _maintainer: Optional[ParallelOrderMaintainer] = None,
+        _maintainer=None,
         _epoch0: int = 0,
         foreign: Sequence[Edge] = (),
         **overrides,
@@ -253,18 +267,13 @@ class Engine:
         # counter must survive maintainer rebuilds during recovery, or
         # the fault schedule would restart and re-kill every retry.
         self.faults = as_plane(cfg.faults, seed=cfg.seed)
+        self._crash_errors = self._crash_types(cfg)
         if _maintainer is not None:
             self.maintainer = _maintainer
             self.maintainer.faults = self.faults
         else:
             self.maintainer = self._maintainer_cls(cfg)(
-                graph,
-                num_workers=cfg.num_workers,
-                costs=cfg.costs,
-                schedule=cfg.schedule,
-                seed=cfg.seed,
-                policy=cfg.policy,
-                faults=self.faults,
+                graph, faults=self.faults, **self.maintainer_kwargs(cfg)
             )
         self.snapshots = SnapshotStore(self.maintainer, epoch0=_epoch0)
         #: cross-shard edges this engine co-owns but does NOT maintain:
@@ -573,6 +582,7 @@ class Engine:
         return self.metrics_collector.as_dict(
             pending_depth=len(self.batcher), now=self.now, epoch=self.epoch,
             event_now=self.event_now, window_armed=self.expiries_armed(),
+            clock_unit=CLOCK_UNITS[self.config.backend],
         )
 
     def check(self) -> None:
@@ -758,7 +768,7 @@ class Engine:
             try:
                 result = apply_batch(self.maintainer, kind, batch)
                 break
-            except (BatchCrashed, SimDeadlockError) as exc:
+            except self._crash_errors as exc:
                 attempt += 1
                 if not self._recover_for_retry(exc, attempt):
                     self._fail_live(kind, live, STATUS_ABANDONED, make_error(
@@ -836,7 +846,7 @@ class Engine:
         m.faults["crashed_batches"] += 1
         rep = getattr(exc, "report", None)
         if rep is not None:
-            # the doomed attempt still burned simulated time and its
+            # the doomed attempt still burned service time and its
             # injections must show up in the totals
             m.fold_faults(rep)
             self.now += getattr(rep, "makespan", 0.0)
@@ -871,35 +881,54 @@ class Engine:
 
     @staticmethod
     def _maintainer_cls(cfg: EngineConfig):
-        """The batch-loop backend class for ``cfg.backend``.
+        """The batch-loop backend class for ``cfg.backend``.  Every
+        maintainer of one engine lineage — the live one, crash-recovery
+        rebuilds, restarts and replication followers — comes from here,
+        so they all break OM-order ties the same way.
 
         ``"process"`` has no in-engine maintainer: shard workers each
-        host a sim-backed engine in their own OS process
+        host a direct engine in their own OS process
         (:mod:`repro.parallel.procs`), so constructing a monolithic
         engine with it is a config error the sharded router prevents.
+        The simulated machine is imported only when ``"sim"`` asks for
+        it.
         """
-        if cfg.backend == "thread":
-            from repro.parallel.threads import ThreadBackedMaintainer
-
-            return ThreadBackedMaintainer
         if cfg.backend == "process":
             raise ValueError(
                 "backend 'process' runs shard workers in OS processes — "
                 "construct a repro.service.sharding.ShardedEngine instead"
             )
-        return ParallelOrderMaintainer
+        if cfg.backend == "sim":
+            from repro.parallel.batch import ParallelOrderMaintainer
 
-    @classmethod
-    def _base_maintainer(
-        cls, replay: Replay, cfg: EngineConfig
-    ) -> Tuple[ParallelOrderMaintainer, int]:
-        """A *clean* (fault-free) maintainer at the replay's starting
-        point: the latest checkpoint if there is one, else the initial
-        graph.  Returns it with the epoch it represents."""
-        kw = dict(
+            return ParallelOrderMaintainer
+        return DirectOrderMaintainer
+
+    @staticmethod
+    def _crash_types(cfg: EngineConfig) -> tuple:
+        """Exceptions a batch attempt may die of and be recovered from:
+        an injected crash on every backend, plus a livelock the
+        simulated machine detects on ``sim``."""
+        if cfg.backend == "sim":
+            from repro.parallel.runtime import SimDeadlockError
+
+            return (BatchCrashed, SimDeadlockError)
+        return (BatchCrashed,)
+
+    @staticmethod
+    def maintainer_kwargs(cfg: EngineConfig) -> Dict[str, Any]:
+        """The maintainer knobs ``cfg`` forwards to its backend."""
+        return dict(
             num_workers=cfg.num_workers, costs=cfg.costs,
             schedule=cfg.schedule, seed=cfg.seed, policy=cfg.policy,
         )
+
+    @classmethod
+    def _base_maintainer(cls, replay: Replay, cfg: EngineConfig) -> Tuple[Any, int]:
+        """A *clean* (fault-free) maintainer at the replay's starting
+        point: the latest checkpoint if there is one, else the initial
+        graph.  Returns it with the epoch it represents."""
+        kw = cls.maintainer_kwargs(cfg)
         mcls = cls._maintainer_cls(cfg)
         ck = replay.checkpoint
         if ck is not None:
@@ -1079,7 +1108,7 @@ class Engine:
                 try:
                     result = apply_batch(self.maintainer, kind, batch)
                     break
-                except (BatchCrashed, SimDeadlockError) as exc:
+                except self._crash_errors as exc:
                     attempt += 1
                     if not self._recover_for_retry(exc, attempt):
                         # a decided transaction cannot be abandoned; this

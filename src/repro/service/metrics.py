@@ -32,16 +32,24 @@ cuts
     ``conflict``, ``flush`` (see :mod:`repro.service.batcher`).
 
 epochs
-    One row per commit: batch size/kind, simulated makespan, commit time
-    and the latency percentiles of the updates it carried.
+    One row per commit: batch size/kind, the batch's service-time charge
+    (``makespan``), commit time and the latency percentiles of the
+    updates it carried.
 
 sim
-    The folded :class:`~repro.parallel.runtime.SimReport` totals across
-    all batches (work, spin, contention, lock traffic).
+    The folded batch-report totals across all batches (work, spin,
+    contention, lock traffic; the lock counters stay 0 on the direct
+    kernel, which takes no locks).
 
 latency
-    Simulated admission→terminal latency percentiles, split by class
-    (updates vs queries).
+    Admission→terminal latency percentiles on the service clock, split
+    by class (updates vs queries).
+
+clock_unit
+    The unit of ``now``, ``latency.*`` and ``epochs[].makespan``:
+    ``"cost"`` (cost-model work units charged by the direct kernel) or
+    ``"sim"`` (makespans of the simulated machine).  Neither is wall
+    time.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from repro.parallel.runtime import SimReport
 from repro.service.batcher import CUT_REASONS
 
 __all__ = ["ServiceMetrics", "percentile", "summarize_latencies"]
@@ -147,8 +154,10 @@ class ServiceMetrics:
         else:
             self.update_latencies.append(latency)
 
-    def fold_report(self, report: SimReport) -> None:
-        """Accumulate one batch's :class:`SimReport` into the totals."""
+    def fold_report(self, report) -> None:
+        """Accumulate one batch's timing report (a
+        :class:`~repro.core.maintainer.DirectReport` or a simulated
+        :class:`~repro.parallel.runtime.SimReport`) into the totals."""
         self.sim["makespan"] += report.makespan
         self.sim["total_work"] += report.total_work
         self.sim["spin_time"] += report.spin_time
@@ -200,8 +209,9 @@ class ServiceMetrics:
 
     def as_dict(self, pending_depth: int = 0, now: float = 0.0,
                 epoch: int = 0, event_now: float = 0.0,
-                window_armed: int = 0) -> Dict:
+                window_armed: int = 0, clock_unit: str = "cost") -> Dict:
         return {
+            "clock_unit": clock_unit,
             "now": now,
             "event_now": event_now,
             "epoch": epoch,

@@ -8,7 +8,7 @@
   survives crash recovery) and N shard engines, each a complete
   :class:`~repro.service.engine.Engine` — own maintainer, own batcher,
   own snapshot store, own write-ahead journal (``<path>.shard<i>``).
-  Shards are hosted in-process (``sim`` / ``thread`` backends) or in
+  Shards are hosted in-process (``direct`` / ``sim`` backends) or in
   real OS processes (``process`` backend,
   :mod:`repro.parallel.procs`), one shared-nothing event loop each.
 
@@ -59,7 +59,7 @@ from repro.faults.plane import CRASH, ROUTER_SALT, derive_plane
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.graph.interning import ShardedInterner
 from repro.parallel.hindex import refine_cores
-from repro.service.engine import Engine, EngineConfig
+from repro.service.engine import CLOCK_UNITS, Engine, EngineConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import (
     E_BAD_REQUEST,
@@ -105,7 +105,7 @@ def shard_paths(base: Optional[str], nshards: int) -> List[Optional[str]]:
 class LocalShard:
     """In-process shard handle: direct calls into a shard's engine.
 
-    The ``sim`` and ``thread`` backends use this; the ``process``
+    The ``direct`` and ``sim`` backends use this; the ``process``
     backend substitutes :class:`repro.parallel.procs.ProcessShard`,
     which speaks the same surface over a pipe.
     """
@@ -329,16 +329,17 @@ class ShardedEngine:
     def _shard_config(self, shard: int) -> EngineConfig:
         """One shard's engine config: monolithic, its own journal file,
         its slice of the worker budget, its own derived fault plane.
-        A process shard's worker hosts a *thread*-backed engine: the
-        worker already provides process isolation, and the thread
-        machine runs the maintainer without the sim machine's
-        virtual-time bookkeeping."""
+        A process shard's worker hosts a *direct* engine: the worker
+        process already provides the isolation, and the direct kernel's
+        service clock is in the same deterministic cost units as the
+        router's ingest and query costs, so two runs of one input give
+        the same latencies and deadlines."""
         cfg = self.config
         paths = shard_paths(cfg.journal_path, self.nshards)
         return replace(
             cfg,
             shards=1,
-            backend="thread" if cfg.backend == "process" else cfg.backend,
+            backend="direct" if cfg.backend == "process" else cfg.backend,
             num_workers=max(1, cfg.num_workers // self.nshards),
             journal_path=paths[shard],
             faults=derive_plane(cfg.faults, shard, seed=cfg.seed),
@@ -523,6 +524,7 @@ class ShardedEngine:
             "router": self.metrics_collector.as_dict(
                 pending_depth=self.pending_ops(), now=self.now,
                 epoch=self.epoch,
+                clock_unit=CLOCK_UNITS[self.config.backend],
             ),
             "shards": [sh.metrics() for sh in self.shards],
         }
@@ -893,8 +895,7 @@ class ShardedEngine:
         engines: List[Engine] = []
         replays = []
         for s in range(cfg.shards):
-            shard_cfg = replace(router._shard_config(s), backend="sim",
-                                faults=None)
+            shard_cfg = replace(router._shard_config(s), faults=None)
             eng = Engine.from_journal(paths[s], shard_cfg)
             engines.append(eng)
             replays.append(eng.journal.replay())

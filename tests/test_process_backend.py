@@ -20,7 +20,7 @@ from repro.service.requests import STATUS_COMMITTED, Request
 
 def spec(journal_path=None):
     return {
-        "config": EngineConfig(backend="thread", journal_path=journal_path),
+        "config": EngineConfig(backend="direct", journal_path=journal_path),
         "fault_spec": None,
         "fault_seed": 0,
     }

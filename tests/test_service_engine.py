@@ -8,6 +8,9 @@ import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi
+from repro.bench.reporting import render_service_metrics
+from repro.core.maintainer import DIRECT_UNIT, DirectOrderMaintainer
+from repro.faults.plane import BatchCrashed, FaultPlane, FaultSpec
 from repro.parallel.batch import BatchResult
 from repro.service import Engine, EngineConfig, Request
 
@@ -239,6 +242,61 @@ class TestEngineLifecycle:
         assert e["latency"]["count"] == 2
         assert m["latency"]["update"]["count"] == 2
         assert m["latency"]["update"]["max"] > 0
+
+
+class TestBackends:
+    def test_direct_is_the_default_and_thread_is_gone(self):
+        assert EngineConfig().backend == "direct"
+        assert isinstance(Engine(triangle()).maintainer,
+                          DirectOrderMaintainer)
+        with pytest.raises(ValueError, match="unknown backend"):
+            EngineConfig(backend="thread")
+
+    def test_direct_keeps_the_policy_name_and_a_serial_plan(self):
+        m = Engine(triangle(), policy="lpt").maintainer
+        assert m.policy.name == "lpt"
+        plan = m.policy.plan([(0, 3), (1, 3)], 4)
+        assert plan.assignments == [[(0, 3), (1, 3)]]
+
+    @pytest.mark.parametrize("backend,unit", [("direct", "cost"),
+                                              ("sim", "sim")])
+    def test_metrics_name_the_clock_unit(self, backend, unit):
+        eng = Engine(triangle(), backend=backend, max_batch=2)
+        eng.insert(0, 3)
+        eng.insert(1, 3)
+        m = eng.metrics()
+        assert m["clock_unit"] == unit
+        text = render_service_metrics(m)
+        assert f"({unit} units)" in text.splitlines()[0]
+        assert f"update latency ({unit} units)" in text
+
+    def test_direct_charge_follows_vplus_and_vstar(self):
+        eng = Engine(triangle(), max_batch=3)
+        for u in (0, 1, 2):
+            eng.insert(u, 3)
+        e = eng.metrics()["epochs"][0]
+        m = DirectOrderMaintainer(triangle())
+        result = m.insert_edges([(0, 3), (1, 3), (2, 3)])
+        want = sum(DIRECT_UNIT * (1 + len(s.v_plus) + len(s.v_star))
+                   for s in result.stats)
+        assert result.makespan == want == e["makespan"]
+        assert result.report.lock_failures == 0
+
+    def test_direct_crash_lands_mid_batch(self):
+        # seed 1 draws no fault for the first edge and a crash for the
+        # second: the batch dies half applied
+        plane = FaultPlane(FaultSpec(crash_rate=0.5, max_crashes=1), seed=1)
+        m = DirectOrderMaintainer(triangle(), faults=plane)
+        with pytest.raises(BatchCrashed) as info:
+            m.insert_edges([(0, 3), (1, 3)])
+        assert info.value.report.crashes == 1
+        assert info.value.report.makespan > 0
+        assert m.graph.has_edge(0, 3) and not m.graph.has_edge(1, 3)
+        stall = FaultPlane(FaultSpec(stall_rate=1.0, stall_ticks=2))
+        m = DirectOrderMaintainer(triangle(), faults=stall)
+        result = m.remove_edges([(0, 1)])
+        assert result.report.stalls_injected == 1
+        assert result.makespan == result.report.total_work + 2 * DIRECT_UNIT
 
 
 class TestBoundedRetention:

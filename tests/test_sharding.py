@@ -10,6 +10,7 @@ import pytest
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.graph.interning import ShardedInterner
 from repro.service.engine import Engine, EngineConfig
+from repro.service.journal import EdgeJournal
 from repro.service.requests import (
     STATUS_COMMITTED,
     STATUS_PENDING,
@@ -226,6 +227,20 @@ class TestDifferential:
         eng.check()
         eng.close()
 
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_direct_matches_monolith(self, shards):
+        init = [(i, i + 1) for i in range(0, 30, 2)]
+        ops = update_stream(7, 48, 220)
+        oracle = mono_cores(ops, init)  # a sim monolith
+        eng = ShardedEngine(DynamicGraph(list(init)),
+                            EngineConfig(backend="direct", shards=shards))
+        for op, u, v in ops:
+            getattr(eng, op)(u, v)
+        eng.flush()
+        assert eng.cores() == oracle
+        eng.check()
+        eng.close()
+
     def test_small_group_cap_matches_monolith(self):
         ops = update_stream(13, 32, 150)
         oracle = mono_cores(ops)
@@ -247,6 +262,32 @@ class TestDifferential:
         eng.flush()
         assert eng.cores() == oracle
         eng.close()
+
+    def test_process_backend_runs_are_deterministic(self, tmp_path):
+        """Process workers host direct engines, whose service clock is
+        in deterministic cost units: two runs of one input give the same
+        latency summaries on the router and every shard, and the same
+        bytes in every shard journal."""
+        ops = update_stream(11, 40, 160)
+
+        def run(tag):
+            base = str(tmp_path / f"{tag}.wal")
+            eng = ShardedEngine(None, EngineConfig(
+                backend="process", shards=2, max_batch=8, journal_path=base))
+            for op, u, v in ops:
+                getattr(eng, op)(u, v)
+            eng.flush()
+            m = eng.metrics()
+            eng.close()
+            latency = [m["router"]["latency"]] + [
+                sm["latency"] for sm in m["shards"]]
+            digests = [EdgeJournal.load(p).digest()
+                       for p in shard_paths(base, 2)]
+            return latency, digests
+
+        a, b = run("a"), run("b")
+        assert a[0][1]["update"]["count"] > 0
+        assert a == b
 
     def test_string_vertices_route_stably(self):
         names = [f"v{i}" for i in range(20)]
