@@ -151,8 +151,7 @@ class ShardedInterner:
     """Shard-aware interning: dense global ids plus ``(shard, local)``.
 
     The router's view of the vertex space (:mod:`repro.service.sharding`):
-    every external id is interned once into a *global* dense int (the
-    index into the shared refinement arrays of the process backend), its
+    every external id is interned once into a *global* dense int, its
     shard is fixed by :func:`stable_shard`, and within the shard it gets
     a dense *local* id in per-shard arrival order.  All three views only
     grow; none is ever remapped.

@@ -275,23 +275,6 @@ class IntGraph:
         """The raw per-slot presence flags, for in-package kernels."""
         return self._present
 
-    def flat_adjacency(self) -> Tuple["array", "array"]:
-        """CSR export: ``(indptr, targets)`` as int64 ``array('q')``s.
-
-        Slot ``u``'s neighbours are ``targets[indptr[u]:indptr[u+1]]``;
-        absent slots contribute an empty range.  This is the flat form
-        the shared-memory refinement kernels consume
-        (:mod:`repro.parallel.hindex`) — a snapshot, not live storage.
-        """
-        from array import array
-
-        indptr = array("q", [0])
-        targets = array("q")
-        for nbrs in self._adj:
-            targets.extend(nbrs)
-            indptr.append(len(targets))
-        return indptr, targets
-
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------

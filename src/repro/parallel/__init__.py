@@ -14,9 +14,9 @@ The same worker generators can also be driven by real threads
 (:mod:`repro.parallel.threads`) to validate the synchronization protocol
 under genuine preemption, and the sharded serving engine escapes the GIL
 entirely by hosting shard engines in real OS processes
-(:mod:`repro.parallel.procs`) that cooperate over
-``multiprocessing.shared_memory`` flat arrays
-(:mod:`repro.parallel.hindex` is the shared refinement kernel).
+(:mod:`repro.parallel.procs`) that talk to the router over pipes.
+:mod:`repro.parallel.hindex` is a from-scratch H-index core oracle that
+shares no code with the order-based maintainers.
 
 Modules
 -------
@@ -27,7 +27,7 @@ Modules
 * :mod:`repro.parallel.parallel_insert` — OurI (Algorithm 5)
 * :mod:`repro.parallel.parallel_remove` — OurR (Algorithm 6)
 * :mod:`repro.parallel.batch`    — Parallel-InsertEdges / -RemoveEdges (Algorithm 3)
-* :mod:`repro.parallel.hindex`   — synchronous H-index core refinement
+* :mod:`repro.parallel.hindex`   — synchronous H-index refinement (test oracle)
 * :mod:`repro.parallel.procs`    — process-backend shard workers
 """
 
@@ -35,7 +35,7 @@ import importlib
 
 #: public name -> defining module.  Resolved on first attribute access
 #: (PEP 562), so importing one submodule — ``repro.parallel.costs`` for
-#: the cost model, ``repro.parallel.hindex`` for the shard stitch —
+#: the cost model, ``repro.parallel.hindex`` for the core oracle —
 #: does not load the simulated machine behind the others.
 _EXPORTS = {
     "CostModel": "repro.parallel.costs",

@@ -1,41 +1,31 @@
-"""Synchronous H-index refinement over flat int64 arrays.
+"""Synchronous H-index refinement: a from-scratch core oracle.
 
-The sharded engine's *epoch stitch* (:mod:`repro.service.sharding`,
-``docs/sharding.md``): per-shard core numbers computed on shard subgraphs
-are only lower bounds of the global coreness (a subgraph can only shrink
-a core), so the stitched view recomputes exact global cores with the
-H-index iteration of Lu et al. (Nature Sci. Rep. 2016) —
+The H-index iteration of Lu et al. (Nature Sci. Rep. 2016) —
 
     ``k_0(v) = deg(v)``, ``k_{t+1}(v) = H({k_t(u) : u in N(v)})``
 
 where ``H`` is the Hirsch index of the multiset (the largest ``h`` such
 that at least ``h`` members are ``>= h``).  The sequence is pointwise
-non-increasing and converges to the coreness of every vertex, so the
-stitched cores are *exactly* the single-engine cores — the differential
-bit-identity guarantee.
+non-increasing and converges to the coreness of every vertex.  It shares
+nothing with the order-based maintainers (no k-order, no peeling), which
+is what makes it a useful independent oracle: the sharded router's
+:meth:`~repro.service.sharding.ShardedEngine.check` compares its
+incrementally maintained global cores against :func:`graph_cores` of the
+union graph.
 
-Rounds are **synchronous and double-buffered**: every round reads the
-``cur`` array and writes the ``nxt`` array, then the driver swaps.  That
-makes the fixpoint trajectory independent of vertex visit order and of
-how vertices are split across shard workers — the process backend runs
-the same :func:`refine_round` in N OS processes over two
-``multiprocessing.shared_memory`` arrays (each worker owns a disjoint
-slice of vertices, a barrier sits between rounds) and produces the same
-bytes as the in-process driver.
-
-Everything here operates on flat buffers (``array('q')`` or an int64
-``memoryview`` over shared memory, :func:`repro.graph.storage.int64_view`)
-and CSR adjacency (``IntGraph.flat_adjacency`` shape), so there is no
-per-round object churn.
+Rounds are synchronous and double-buffered over flat ``array('q')``
+buffers and CSR adjacency, so the fixpoint does not depend on vertex
+visit order.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from array import array
+from typing import Dict, Hashable, List, Sequence
 
 from repro.graph.storage import int64_buffer
 
-__all__ = ["h_index", "seed_degrees", "refine_round", "refine_cores"]
+__all__ = ["h_index", "refine_cores", "graph_cores"]
 
 
 def h_index(values: Sequence[int]) -> int:
@@ -54,58 +44,35 @@ def h_index(values: Sequence[int]) -> int:
     return 0
 
 
-def seed_degrees(indptr, owned: Sequence[int], cur) -> None:
-    """Round 0: write ``deg(u)`` into ``cur[u]`` for every owned slot."""
-    for u in owned:
-        cur[u] = indptr[u + 1] - indptr[u]
-
-
-def refine_round(indptr, targets, owned: Sequence[int], cur, nxt) -> int:
-    """One synchronous round over the ``owned`` slots.
-
-    Reads neighbour estimates from ``cur``, writes the H-index of each
-    owned slot into ``nxt`` (always, so the back buffer never holds a
-    two-rounds-stale value), and returns how many owned slots changed.
-    The counting H-index here is O(deg) per vertex with no sort and no
-    allocation beyond one small counts list.
-    """
-    changed = 0
-    for u in owned:
-        lo = indptr[u]
-        hi = indptr[u + 1]
-        d = hi - lo
-        if d == 0:
-            h = 0
-        else:
-            counts = [0] * (d + 1)
-            for i in range(lo, hi):
-                v = cur[targets[i]]
-                counts[d if v >= d else v] += 1
-            at_least = 0
-            h = 0
-            for cand in range(d, 0, -1):
-                at_least += counts[cand]
-                if at_least >= cand:
-                    h = cand
-                    break
-        nxt[u] = h
-        if h != cur[u]:
-            changed += 1
-    return changed
-
-
 def refine_cores(indptr, targets, n: int) -> List[int]:
-    """In-process driver: run rounds to the fixpoint, return the cores.
-
-    This is the in-process (direct/sim) stitch path; the process backend runs
-    the identical per-round kernel distributed across shard workers
-    (:mod:`repro.parallel.procs`) with the router as the barrier.
-    """
+    """Cores of the CSR graph ``(indptr, targets)`` over slots ``0..n-1``:
+    seed every slot with its degree, then run synchronous H-index rounds
+    to the fixpoint."""
     cur = int64_buffer(n)
     nxt = int64_buffer(n)
-    owned = range(n)
-    seed_degrees(indptr, owned, cur)
+    for u in range(n):
+        cur[u] = indptr[u + 1] - indptr[u]
     while True:
-        if refine_round(indptr, targets, owned, cur, nxt) == 0:
+        changed = False
+        for u in range(n):
+            lo = indptr[u]
+            h = h_index([cur[targets[i]] for i in range(lo, indptr[u + 1])])
+            nxt[u] = h
+            if h != cur[u]:
+                changed = True
+        if not changed:
             return list(nxt)
         cur, nxt = nxt, cur
+
+
+def graph_cores(graph) -> Dict[Hashable, int]:
+    """:func:`refine_cores` of a :class:`~repro.graph.DynamicGraph`,
+    keyed by vertex (isolated vertices at core 0)."""
+    verts = list(graph.vertices())
+    slot = {x: i for i, x in enumerate(verts)}
+    indptr = array("q", [0])
+    targets = array("q")
+    for x in verts:
+        targets.extend(slot[y] for y in graph.neighbors(x))
+        indptr.append(len(targets))
+    return dict(zip(verts, refine_cores(indptr, targets, len(verts))))

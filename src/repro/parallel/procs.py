@@ -19,21 +19,17 @@ reproducible, as in-process shards) and keep the same surface
 as :class:`~repro.service.sharding.LocalShard`, so the router is
 backend-agnostic.
 
-Two parts of the protocol are not simple RPC:
+The epoch stitch needs only plain RPCs: ``deltas`` returns the shard's
+last epoch together with the edge batches it committed since a given
+epoch (one frame, so the two always agree), and ``edges``/``present``
+hand over the full edge list and vertex set when the router rebuilds
+its global maintainer.
 
-* **Shutdown** (the torn-tail rule): ``quiesce`` makes the worker close
-  its journal, reply with its checkpoint payload and exit; the client
-  then **joins the process before** the router appends the final
-  checkpoint record to the (now unowned) journal file.  Two writers
-  never hold the file at once.
-
-* **Distributed stitch**: :func:`refine_distributed` runs the epoch
-  stitch's synchronous H-index rounds (:mod:`repro.parallel.hindex`)
-  *inside the shard workers* over two ``multiprocessing.shared_memory``
-  int64 arrays — every worker refines the vertices it owns, the router
-  is the barrier between rounds, and the fixpoint is bit-identical to
-  the in-process :func:`~repro.parallel.hindex.refine_cores` because
-  the per-round kernel and the seed are the same.
+One part of the protocol is not simple RPC — **shutdown** (the
+torn-tail rule): ``quiesce`` makes the worker close its journal, reply
+with its checkpoint payload and exit; the client then **joins the
+process before** the router appends the final checkpoint record to the
+(now unowned) journal file.  Two writers never hold the file at once.
 
 Fault planes cannot cross the fork (they hold a mutex and live
 counters), so a worker receives ``(FaultSpec, derived seed)`` and builds
@@ -44,17 +40,12 @@ its own independent plane — see
 from __future__ import annotations
 
 import multiprocessing as mp
-from array import array
 from dataclasses import replace
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.faults.plane import FaultPlane
-from repro.graph.interning import stable_shard
-from repro.graph.storage import INT64, int64_view
-from repro.parallel.hindex import refine_round, seed_degrees
 
-__all__ = ["ProcessShard", "refine_distributed", "fork_context"]
+__all__ = ["ProcessShard", "fork_context"]
 
 
 def fork_context():
@@ -70,51 +61,6 @@ def fork_context():
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to a router-owned segment without adopting it: before
-    3.13, ``SharedMemory(name=...)`` registers the segment with the
-    attaching process's resource tracker too, which then warns about (or
-    double-unlinks) blocks the router already cleaned up.  Only the
-    router creates, so only the router tracks.  Registration is
-    suppressed (rather than undone after the fact) because forked
-    workers may share the router's tracker process: a post-hoc
-    unregister from several workers would race the router's own
-    unlink-time unregister on the shared tracker."""
-    try:
-        from multiprocessing import resource_tracker
-
-        orig = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = orig
-    except ImportError:  # pragma: no cover - tracker API drift
-        return shared_memory.SharedMemory(name=name)
-
-
-def _build_refine(eng, extgid: Dict, shard_id: int, nshards: int, n: int):
-    """CSR over router gids for this worker's subgraph, plus the owned
-    slots.  Maintained edges plus foreign-tracked cross edges together
-    give an owned vertex its *full* global adjacency — which is what
-    makes the local degree seed and the local H-index correct."""
-    adj: Dict[int, List[int]] = {}
-    for u, v in _shard_edges(eng):
-        gu, gv = extgid[u], extgid[v]
-        adj.setdefault(gu, []).append(gv)
-        adj.setdefault(gv, []).append(gu)
-    indptr = array("q", [0])
-    targets = array("q")
-    for g in range(n):
-        targets.extend(adj.get(g, ()))
-        indptr.append(len(targets))
-    owned = sorted(
-        extgid[x] for x in _shard_vertices(eng)
-        if stable_shard(x, nshards) == shard_id
-    )
-    return indptr, targets, owned
-
-
 def _shard_edges(eng) -> List:
     """Every edge the shard co-owns: maintained plus foreign-tracked."""
     return list(eng.graph.edges()) + eng.foreign_edges()
@@ -132,7 +78,7 @@ def _shard_vertices(eng) -> List:
     return out
 
 
-def _shard_worker(conn, shard_id: int, nshards: int, spec: Dict,
+def _shard_worker(conn, shard_id: int, spec: Dict,
                   init_edges, recover_from: Optional[str],
                   foreign=()) -> None:
     """Worker main loop: host one shard engine, serve pipe frames."""
@@ -152,9 +98,6 @@ def _shard_worker(conn, shard_id: int, nshards: int, spec: Dict,
         eng = Engine(DynamicGraph(list(init_edges or [])), cfg,
                      foreign=list(foreign or ()))
 
-    shm_a = shm_b = None
-    views: List = []
-    refine = None  # (indptr, targets, owned, n)
     qp = None  # worker-owned query-plane publisher (docs/queryplane.md)
     while True:
         try:
@@ -195,35 +138,12 @@ def _shard_worker(conn, shard_id: int, nshards: int, spec: Dict,
                 out = _shard_edges(eng)
             elif op == "present":
                 out = _shard_vertices(eng)
+            elif op == "deltas":
+                out = eng.snapshots.edge_deltas(msg[1])
             elif op == "metrics":
                 out = eng.metrics()
             elif op == "check":
                 out = eng.check()
-            elif op == "refine_begin":
-                _, name_a, name_b, n, extgid = msg
-                shm_a = _attach(name_a)
-                shm_b = _attach(name_b)
-                va = int64_view(shm_a.buf, n)
-                vb = int64_view(shm_b.buf, n)
-                views = [va, vb]
-                refine = (*_build_refine(eng, extgid, shard_id, nshards, n), n)
-                seed_degrees(refine[0], refine[2], va)
-                out = refine[2]  # owned gids (the router's presence set)
-            elif op == "refine_round":
-                r = msg[1]
-                indptr, targets, owned, _n = refine
-                cur, nxt = views[r % 2], views[1 - r % 2]
-                out = refine_round(indptr, targets, owned, cur, nxt)
-            elif op == "refine_end":
-                for v in views:
-                    v.release()
-                views = []
-                refine = None
-                for shm in (shm_a, shm_b):
-                    if shm is not None:
-                        shm.close()
-                shm_a = shm_b = None
-                out = None
             elif op == "qp_enable":
                 # publish this shard's epochs into worker-owned shared
                 # memory; the router (or any process) attaches readers
@@ -274,13 +194,13 @@ class ProcessShard:
 
     @classmethod
     def start(cls, shard_id: int, spec: Dict, init_edges,
-              nshards: int, recover_from: Optional[str] = None,
+              recover_from: Optional[str] = None,
               foreign=()) -> "ProcessShard":
         ctx = fork_context()
         parent, child = ctx.Pipe()
         proc = ctx.Process(
             target=_shard_worker,
-            args=(child, shard_id, nshards, spec, init_edges, recover_from,
+            args=(child, shard_id, spec, init_edges, recover_from,
                   foreign),
             daemon=True,
             name=f"repro-shard-{shard_id}",
@@ -355,6 +275,9 @@ class ProcessShard:
     def present_vertices(self):
         return self.rpc("present")
 
+    def edge_deltas(self, since):
+        return self.rpc("deltas", since)
+
     def metrics(self):
         return self.rpc("metrics")
 
@@ -401,58 +324,3 @@ class ProcessShard:
             self.process.terminate()
             self.process.join(timeout=10)
         self.conn.close()
-
-
-def refine_distributed(shards: List[ProcessShard], interner
-                       ) -> Tuple[List[int], Set[int]]:
-    """Run the epoch stitch's H-index refinement inside the workers.
-
-    Allocates the two shared double-buffer arrays, has every worker
-    seed degrees for the vertices it owns (round 0 reads buffer A), then
-    drives synchronous rounds — all workers compute round ``r`` before
-    any sees ``r+1`` — until no slot changed anywhere.  Returns the
-    final per-gid values and the set of present (owned-by-someone) gids.
-    """
-    # each worker refines against router gids; ship it the ext->gid map
-    # for exactly the vertices it holds (owned + ghost replicas)
-    maps: List[Dict] = []
-    for sh in shards:
-        sh.send("present")
-    for sh in shards:
-        maps.append({x: interner.intern(x) for x in sh.recv()})
-    n = len(interner)
-    if n == 0:
-        return [], set()
-    size = n * INT64
-    shm_a = shared_memory.SharedMemory(create=True, size=size)
-    shm_b = shared_memory.SharedMemory(create=True, size=size)
-    try:
-        shm_a.buf[:size] = bytes(size)
-        shm_b.buf[:size] = bytes(size)
-        present: Set[int] = set()
-        for sh, m in zip(shards, maps):
-            sh.send("refine_begin", shm_a.name, shm_b.name, n, m)
-        for sh in shards:
-            present.update(sh.recv())   # barrier: all seeds written
-        r = 0
-        while True:
-            for sh in shards:
-                sh.send("refine_round", r)
-            changed = sum(sh.recv() for sh in shards)  # round barrier
-            if changed == 0:
-                break
-            r += 1
-        # round r wrote the buffer opposite its read buffer (A on even)
-        final = int64_view((shm_b if r % 2 == 0 else shm_a).buf, n)
-        vals = list(final)
-        final.release()
-        for sh in shards:
-            sh.send("refine_end")
-        for sh in shards:
-            sh.recv()
-        return vals, present
-    finally:
-        shm_a.close()
-        shm_b.close()
-        shm_a.unlink()
-        shm_b.unlink()

@@ -217,7 +217,8 @@ class FollowerEngine:
         edges = [(u, v) for u, v in pending["edges"]]
         result = apply_batch(m, pending["kind"], edges)
         self.replay_makespan += result.makespan
-        got, touched = self.snapshots.commit_batch(edges, result)
+        got, touched = self.snapshots.commit_batch(
+            pending["kind"], edges, result)
         if got != epoch:
             raise ValueError(
                 f"replica {self.replica_id} epoch drift: replay produced "

@@ -214,7 +214,7 @@ def _replay_committed(m, replay: Replay, start: int,
         result = apply_batch(m, b.kind, list(b.edges))
         if store is None:
             continue
-        epoch, _ = store.commit_batch(b.edges, result)
+        epoch, _ = store.commit_batch(b.kind, b.edges, result)
         if epoch != b.epoch:
             raise ValueError(
                 f"journal epoch mismatch on replay: rebuilt epoch "
@@ -783,7 +783,7 @@ class Engine:
                 batch = list(live)
         self.now += result.makespan
         self.metrics_collector.fold_report(result.report)
-        epoch, touched = self.snapshots.commit_batch(batch, result)
+        epoch, touched = self.snapshots.commit_batch(kind, batch, result)
         self.journal.log_commit(epoch)
         self.snapshots.publish_to(self._queryplane, touched)
         self._note_commit_window(kind, batch)
@@ -1117,7 +1117,7 @@ class Engine:
             makespan = result.makespan
             self.now += makespan
             self.metrics_collector.fold_report(result.report)
-            epoch, touched = self.snapshots.commit_batch(batch, result)
+            epoch, touched = self.snapshots.commit_batch(kind, batch, result)
             self.snapshots.publish_to(self._queryplane, touched)
         else:
             epoch = self.epoch

@@ -172,11 +172,25 @@ def _create(nbytes: int) -> shared_memory.SharedMemory:
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
-    # reuse the resource-tracker suppression idiom of the process
-    # backend: only the creator tracks (and unlinks) a segment
-    from repro.parallel.procs import _attach as attach
+    """Attach to a publisher-owned segment without adopting it: before
+    3.13, ``SharedMemory(name=...)`` registers the segment with the
+    attaching process's resource tracker too, which then warns about (or
+    double-unlinks) blocks the publisher already cleaned up.  Only the
+    creator tracks (and unlinks) a segment.  Registration is suppressed
+    (rather than undone after the fact) because forked readers may share
+    the publisher's tracker process: a post-hoc unregister from several
+    readers would race the publisher's own unlink-time unregister."""
+    try:
+        from multiprocessing import resource_tracker
 
-    return attach(name)
+        orig = resource_tracker.register
+        resource_tracker.register = lambda *a, **k: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = orig
+    except ImportError:  # pragma: no cover - tracker API drift
+        return shared_memory.SharedMemory(name=name)
 
 
 def _put_name(buf, field: int, name: str) -> None:

@@ -36,11 +36,17 @@
   the sharded engine's global epoch is their sum and a query answers
   against one consistent *stitched* view: per-shard core numbers are
   only lower bounds of global coreness (a subgraph can only shrink a
-  core), so the stitch recomputes exact cores with the synchronous
-  H-index refinement of :mod:`repro.parallel.hindex` over the union
-  graph — bit-identical to a single engine on the same committed edge
-  set, which is the differential guarantee the tests pin.  Views are
-  cached per epoch vector and recomputed lazily.
+  core), so the router keeps exact global cores itself.  It holds the
+  union graph under a sequential OI/OR
+  :class:`~repro.core.maintainer.OrderMaintainer` and, at each view,
+  applies the edge batches every shard committed since the router's
+  last epoch vector (:meth:`SnapshotStore.edge_deltas
+  <repro.service.snapshots.SnapshotStore.edge_deltas>`).  Cores are a
+  function of the edge set, so the result equals a single engine on
+  the same committed edges — the differential guarantee the tests pin,
+  with a from-scratch H-index refinement
+  (:func:`repro.parallel.hindex.graph_cores`) as the oracle in
+  :meth:`ShardedEngine.check`.  Views are cached per epoch vector.
 
 Response-stream semantics intentionally differ from a monolithic engine
 in two documented ways: update responses carry *shard-local* epochs
@@ -55,10 +61,10 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.core.maintainer import OrderMaintainer
 from repro.faults.plane import CRASH, ROUTER_SALT, derive_plane
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.graph.interning import ShardedInterner
-from repro.parallel.hindex import refine_cores
 from repro.service.engine import CLOCK_UNITS, Engine, EngineConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import (
@@ -167,6 +173,11 @@ class LocalShard:
     def edges(self) -> List[Edge]:
         """Edges this shard co-owns: maintained plus foreign-tracked."""
         return list(self.engine.graph.edges()) + self.engine.foreign_edges()
+
+    def edge_deltas(self, since: int):
+        """``(epoch, batches)`` committed after ``since``; see
+        :meth:`repro.service.snapshots.SnapshotStore.edge_deltas`."""
+        return self.engine.snapshots.edge_deltas(since)
 
     def present_vertices(self) -> List[Vertex]:
         out = list(self.engine.graph.vertices())
@@ -295,6 +306,16 @@ class ShardedEngine:
                            or 4 * self.config.max_batch)
         self._completed: List[Response] = []
         self._stitch_cache: Optional[Tuple[Tuple[int, ...], SnapshotView]] = None
+        #: the router's global maintainer over the union graph, the shard
+        #: epoch vector it reflects and its core map (built at the first
+        #: view; see _stitch)
+        self._router: Optional[OrderMaintainer] = None
+        self._router_vec: Tuple[int, ...] = ()
+        self._router_cores: Dict[Vertex, int] = {}
+        #: vertices the last stitch may have changed (None: all of them)
+        self._stitch_touched: Optional[set] = None
+        self._stitch_counts = {"stitch_rebuilds": 0, "stitch_incremental": 0,
+                              "stitch_edges_applied": 0}
         self.resolutions: List[_Resolution] = []
         self._closed = False
         #: stitched-global query plane (docs/queryplane.md): refreshed
@@ -304,9 +325,6 @@ class ShardedEngine:
         self._shard_planes: List[str] = []
         if _shards is not None:
             self.shards = _shards
-            for sh in self.shards:
-                for x in sh.present_vertices():
-                    self.interner.intern(x)
             return
         init = [[] for _ in range(self.nshards)]
         finit = [[] for _ in range(self.nshards)]
@@ -352,7 +370,7 @@ class ShardedEngine:
 
             return [
                 ProcessShard.start(s, self._shard_spec(s), init[s],
-                                   self.nshards, foreign=finit[s])
+                                   foreign=finit[s])
                 for s in range(self.nshards)
             ]
         return [
@@ -456,9 +474,10 @@ class ShardedEngine:
         The global buffer carries the stitched core map stamped with the
         global epoch (the shard-epoch vector sum) and refreshes whenever
         the stitch recomputes — after :meth:`flush` and on any
-        :meth:`view` at a new epoch vector.  Its ``min_epoch`` is the
-        global epoch at enable time: pre-stitch history is not
-        reconstructible, so older pins get a structured refusal.
+        :meth:`view` at a new epoch vector — rewriting only the vertices
+        that stitch touched.  Its ``min_epoch`` is the global epoch at
+        enable time: pre-stitch history is not reconstructible, so older
+        pins get a structured refusal.
 
         With ``per_shard=True`` every shard engine additionally
         publishes its *own* epochs from its own process (workers publish
@@ -469,14 +488,14 @@ class ShardedEngine:
             from repro.service.queryplane import EpochPublisher
 
             publisher = EpochPublisher(**kwargs)
-        self._queryplane = publisher
-        self._qp_min_epoch = self.epoch
         if per_shard:
             self._shard_planes = [
                 sh.enable_queryplane(**kwargs) for sh in self.shards
             ]
-        self._stitch_cache = None  # force a fresh stitch + publish
-        self.view()
+        view = self.view()
+        self._queryplane = publisher
+        self._qp_min_epoch = view.epoch
+        publisher.publish(view.epoch, view.epoch, view.mapping, None)
         return publisher
 
     def shard_queryplanes(self) -> List[str]:
@@ -507,35 +526,50 @@ class ShardedEngine:
         vec = self._epoch_vector()
         if self._stitch_cache is not None and self._stitch_cache[0] == vec:
             return self._stitch_cache[1]
-        view = SnapshotView(sum(vec), self._stitch())
+        view = SnapshotView(sum(vec), self._stitch(vec))
         self._stitch_cache = (vec, view)
         if self._queryplane is not None:
-            # publish after the epoch-vector refinement settles: global
-            # epochs are the (strictly increasing) vector sum, so every
-            # stamped epoch names exactly one stitched state
+            # global epochs are the (strictly increasing) vector sum, so
+            # every stamped epoch names exactly one stitched state
             self._queryplane.publish(
-                view.epoch, self._qp_min_epoch, view.mapping, None
+                view.epoch, self._qp_min_epoch, view.mapping,
+                self._stitch_touched,
             )
         return view
 
     def metrics(self) -> Dict:
-        """Router ledger plus every shard's own metrics surface."""
-        return {
-            "router": self.metrics_collector.as_dict(
-                pending_depth=self.pending_ops(), now=self.now,
-                epoch=self.epoch,
-                clock_unit=CLOCK_UNITS[self.config.backend],
-            ),
-            "shards": [sh.metrics() for sh in self.shards],
-        }
+        """Router ledger (plus the stitch counters) and every shard's own
+        metrics surface."""
+        router = self.metrics_collector.as_dict(
+            pending_depth=self.pending_ops(), now=self.now,
+            epoch=self.epoch, clock_unit=CLOCK_UNITS[self.config.backend],
+        )
+        router.update(self._stitch_counts)
+        return {"router": router,
+                "shards": [sh.metrics() for sh in self.shards]}
 
     def check(self) -> None:
-        """Flush everything, then assert per-shard and router invariants
-        plus the stitch's exactness against a fresh decomposition."""
+        """Flush everything, then assert per-shard and router invariants,
+        the router maintainer's OI/OR invariants, and the stitch's
+        exactness against a from-scratch H-index refinement of the union
+        of shard edges."""
+        from repro.parallel.hindex import graph_cores
+
         self.flush()
         for sh in self.shards:
             sh.check()
         self.metrics_collector.assert_invariant()
+        got = dict(self.cores())
+        if self._router is not None:
+            self._router.check()
+        want = graph_cores(self._union_graph())
+        if got != want:
+            wrong = sorted((x for x in want.keys() | got.keys()
+                            if got.get(x) != want.get(x)), key=repr)
+            raise AssertionError(
+                f"stitched cores differ from a from-scratch refinement "
+                f"at {len(wrong)} vertex(es), e.g. {wrong[:5]!r}"
+            )
 
     # ------------------------------------------------------------------
     # shutdown — quiesce workers BEFORE the final checkpoint
@@ -782,7 +816,6 @@ class ShardedEngine:
             commit_by_shard.setdefault(part, []).append(tx)
         epochs = self._scatter("commit-peer", "commit_group",
                                sorted(commit_by_shard.items()), seqs)
-        self._stitch_cache = None
         for tx, seq, e, coord, part in decided:
             ep = epochs[coord]
             for orid, oop in riders[e]:
@@ -812,49 +845,71 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # epoch stitch
     # ------------------------------------------------------------------
-    def _stitch(self) -> Dict[Vertex, int]:
-        """Exact global cores over the union of shard subgraphs.
+    def _stitch(self, vec: Tuple[int, ...]) -> Dict[Vertex, int]:
+        """Exact global cores at the shard epoch vector ``vec``.
 
-        In-process backends refine here; the process backend runs the
-        same synchronous rounds *in the shard workers* over two shared
-        int64 arrays (:meth:`repro.parallel.procs.ProcessShard.refine`),
-        with the router acting as the round barrier.
+        Asks only the shards whose epoch moved for the edge batches they
+        committed since the router's vector, and applies each shard's
+        batches in epoch order with OI/OR.  Every edge has exactly one
+        maintaining shard (owner or coordinator), so the interleaving of
+        shards cannot produce an invalid operation and the resulting
+        cores do not depend on it.  The first view, a restart, and any
+        shard whose delta ring no longer reaches back rebuild instead.
         """
-        if self.config.backend == "process":
-            from repro.parallel.procs import refine_distributed
+        if self._router is None:
+            return self._rebuild(vec)
+        deltas = []
+        for s, (mine, now) in enumerate(zip(self._router_vec, vec)):
+            if mine != now:
+                _, batches = self.shards[s].edge_deltas(mine)
+                if batches is None:
+                    return self._rebuild(vec)
+                deltas.append(batches)
+        m = self._router
+        touched = set()
+        applied = 0
+        for batches in deltas:
+            for _, kind, edges in batches:
+                op = m.insert_edge if kind == "+" else m.remove_edge
+                for u, v in edges:
+                    touched.add(u)
+                    touched.add(v)
+                    touched.update(op(u, v).v_star)
+                applied += len(edges)
+        cores = dict(self._router_cores)
+        core = m.core
+        for x in touched:
+            cores[x] = core(x)
+        self._router_vec = vec
+        self._router_cores = cores
+        self._stitch_touched = touched
+        self._stitch_counts["stitch_incremental"] += 1
+        self._stitch_counts["stitch_edges_applied"] += applied
+        return cores
 
-            gid_cores, present = refine_distributed(self.shards,
-                                                    self.interner)
-            return {self.interner.external(g): gid_cores[g]
-                    for g in sorted(present)}
-        intern = self.interner.intern
-        seen = set()
-        adj: Dict[int, List[int]] = {}
-        present: List[int] = []
+    def _rebuild(self, vec: Tuple[int, ...]) -> Dict[Vertex, int]:
+        """Build the router maintainer from every shard's full edge list:
+        one decomposition of the union graph at ``vec``."""
+        self._router = OrderMaintainer(self._union_graph())
+        self._router_vec = vec
+        self._router_cores = self._router.cores()
+        self._stitch_touched = None
+        self._stitch_counts["stitch_rebuilds"] += 1
+        return self._router_cores
+
+    def _union_graph(self) -> DynamicGraph:
+        """The union of shard subgraphs: maintained plus foreign-tracked
+        edges, and every present vertex, isolated ones included."""
+        edges: Dict[Edge, None] = {}
+        vertices: Dict[Vertex, None] = {}
         for sh in self.shards:
-            for x in sh.present_vertices():
-                g = intern(x)
-                if g not in adj:
-                    adj[g] = []
-                    present.append(g)
-            for u, v in sh.edges():
-                gu, gv = intern(u), intern(v)
-                key = (gu, gv) if gu <= gv else (gv, gu)
-                if key in seen:   # cross edges: coordinator graph + peer
-                    continue      # foreign set both report them
-                seen.add(key)
-                adj[gu].append(gv)
-                adj[gv].append(gu)
-        n = len(self.interner)
-        from array import array
-
-        indptr = array("q", [0])
-        targets = array("q")
-        for g in range(n):
-            targets.extend(adj.get(g, ()))
-            indptr.append(len(targets))
-        vals = refine_cores(indptr, targets, n)
-        return {self.interner.external(g): vals[g] for g in present}
+            # canonical edges; a cross edge is reported by both owners
+            edges.update(dict.fromkeys(sh.edges()))
+            vertices.update(dict.fromkeys(sh.present_vertices()))
+        g = DynamicGraph(edges)
+        for x in vertices:
+            g.add_vertex(x)
+        return g
 
     # ------------------------------------------------------------------
     # recovery
@@ -880,6 +935,9 @@ class ShardedEngine:
            resolve identically;
         3. for the process backend, the resolved journals are handed to
            fresh shard workers.
+
+        The router's global maintainer is never journaled: the first
+        view rebuilds it from the recovered shards (see :meth:`_stitch`).
         """
         cfg = config or EngineConfig()
         if overrides:
@@ -948,13 +1006,10 @@ class ShardedEngine:
                 eng.close()
             router.shards = [
                 ProcessShard.start(s, router._shard_spec(s), None,
-                                   cfg.shards, recover_from=paths[s])
+                                   recover_from=paths[s])
                 for s in range(cfg.shards)
             ]
         else:
             router.shards = [LocalShard(s, eng)
                              for s, eng in enumerate(engines)]
-        for s in range(cfg.shards):
-            for x in router.shards[s].present_vertices():
-                router.interner.intern(x)
         return router

@@ -13,14 +13,19 @@ each commit's touched vertices into a :class:`repro.core.history.CoreHistory`
 (O(|V*|) per epoch), and materializes a full core map per epoch lazily,
 with a small LRU cache (:data:`CACHE_EPOCHS` views) so the common case —
 many queries against the latest epoch — pays the materialization once.
+The store also keeps the last :data:`DELTA_EPOCHS` committed edge
+batches, so a consumer that tracks the graph rather than the cores (the
+sharded router's global maintainer) can catch up from an epoch with
+:meth:`SnapshotStore.edge_deltas` instead of re-reading every edge.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import islice
 from typing import (
-    Any, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Sequence,
-    Set, Tuple,
+    Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional,
+    Sequence, Set, Tuple,
 )
 
 from repro.core.history import CoreHistory
@@ -42,12 +47,16 @@ Vertex = Hashable
 
 __all__ = [
     "FrozenCoreMap", "SnapshotStore", "SnapshotView", "QUERY_KINDS",
-    "CACHE_EPOCHS", "answer_query",
+    "CACHE_EPOCHS", "DELTA_EPOCHS", "answer_query",
 ]
 
 #: materialized epoch maps a :class:`SnapshotStore` keeps (LRU); evicted
 #: epochs stay answerable, rebuilt from the history deltas
 CACHE_EPOCHS = 8
+
+#: committed edge batches a :class:`SnapshotStore` keeps for
+#: :meth:`SnapshotStore.edge_deltas` (a ring: older ones are dropped)
+DELTA_EPOCHS = 64
 
 
 class FrozenCoreMap(dict):
@@ -240,6 +249,8 @@ class SnapshotStore:
         #: repeated ``view()`` calls at the same epoch.
         self._cache: "OrderedDict[int, SnapshotView]" = OrderedDict()
         self._cache[epoch0] = SnapshotView(epoch0, dict(maintainer.cores()))
+        #: ``(epoch, kind, edges)`` of the last committed batches
+        self._deltas: deque = deque(maxlen=DELTA_EPOCHS)
 
     # ------------------------------------------------------------------
     @property
@@ -264,18 +275,46 @@ class SnapshotStore:
             self._remember(epoch, SnapshotView(epoch, cur))
         return epoch
 
-    def commit_batch(self, batch: Sequence[Tuple[Vertex, Vertex]],
+    def commit_batch(self, kind: str, batch: Sequence[Tuple[Vertex, Vertex]],
                      result) -> Tuple[int, Set[Vertex]]:
-        """Commit an applied maintainer batch as the next epoch.
+        """Commit an applied maintainer batch of ``kind`` (``"+"`` or
+        ``"-"``) as the next epoch.
 
         OurI/OurR name exactly the vertices whose cores may have moved:
         the batch endpoints plus every ``V*`` in ``result.stats``.
         Returns the new epoch and that touched set, which also bounds
-        the query-plane mirror update (:meth:`publish_to`)."""
+        the query-plane mirror update (:meth:`publish_to`).  The batch
+        itself joins the :meth:`edge_deltas` ring."""
         touched = {w for e in batch for w in e}
         for s in result.stats:
             touched.update(s.v_star)
-        return self.commit(touched), touched
+        epoch = self.commit(touched)
+        self._deltas.append((epoch, kind, tuple(batch)))
+        return epoch, touched
+
+    def edge_deltas(self, since: int
+                    ) -> Tuple[int, Optional[List[Tuple[int, str, tuple]]]]:
+        """The edge batches committed after epoch ``since``.
+
+        Returns ``(epoch, batches)``: the last committed epoch and its
+        ``(epoch, kind, edges)`` batches in epoch order, or ``(epoch,
+        None)`` when the ring no longer reaches back to ``since`` (more
+        than :data:`DELTA_EPOCHS` epochs ago, before a restart, or past
+        an epoch committed without a batch).  Applying the batches in
+        order to the edge set at ``since`` gives the edge set at
+        ``epoch``."""
+        epoch = self.epoch
+        n = epoch - since
+        ring = self._deltas
+        if n < 0 or n > len(ring):
+            return epoch, None
+        if n == 0:
+            return epoch, []
+        batches = list(islice(ring, len(ring) - n, None))
+        # epochs are strictly increasing, so first and last pin the run
+        if batches[0][0] != since + 1 or batches[-1][0] != epoch:
+            return epoch, None
+        return epoch, batches
 
     def publish_to(self, publisher, touched: Optional[Set[Vertex]] = None
                    ) -> None:

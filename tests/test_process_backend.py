@@ -1,21 +1,16 @@
 """The process backend's worker protocol, driven directly: one
 :class:`ProcessShard` per test, no router.  Pins the pipe framing, the
-error channel, the shared-memory refinement rounds, and the
+error channel, the stitch's edge-delta frame, and the
 quiesce-join-checkpoint shutdown sequence."""
 
 import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.graph.interning import ShardedInterner
-from repro.parallel.procs import (
-    ProcessShard,
-    _shard_edges,
-    _shard_vertices,
-    refine_distributed,
-)
+from repro.parallel.procs import ProcessShard, _shard_edges, _shard_vertices
 from repro.service.engine import Engine, EngineConfig
 from repro.service.journal import REC_CHECKPOINT, EdgeJournal
 from repro.service.requests import STATUS_COMMITTED, Request
+from repro.service.snapshots import DELTA_EPOCHS
 
 
 def spec(journal_path=None):
@@ -26,10 +21,9 @@ def spec(journal_path=None):
     }
 
 
-def start_shard(init=(), foreign=(), journal_path=None, shard_id=0,
-                nshards=1):
+def start_shard(init=(), foreign=(), journal_path=None, shard_id=0):
     return ProcessShard.start(shard_id, spec(journal_path), list(init),
-                              nshards, foreign=foreign)
+                              foreign=foreign)
 
 
 class TestWorkerProtocol:
@@ -86,7 +80,7 @@ class TestWorkerProtocol:
         sh.close()
 
     def test_track_role_group_prepares_into_foreign(self):
-        sh = start_shard(shard_id=1, nshards=2)
+        sh = start_shard(shard_id=1)
         votes = sh.prepare_group(
             [("t0", "+", (0, 1), "r0", 0, "track")])
         assert votes == [None]   # yes-vote
@@ -144,61 +138,37 @@ class TestShutdown:
         payload = sh.quiesce()
         sh.final_checkpoint(payload)
         sh.close()
-        rec = ProcessShard.start(0, spec(path), None, 1,
-                                 recover_from=path)
+        rec = ProcessShard.start(0, spec(path), None, recover_from=path)
         assert {canonical_edge(u, v) for u, v in rec.edges()} == {
             canonical_edge(0, 1), canonical_edge(1, 2),
             canonical_edge(0, 2)}
         rec.close()
 
 
-class TestDistributedRefine:
-    def test_matches_single_engine_decomposition(self):
-        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
-                 (5, 3), (0, 5), (6, 7)]
-        interner = ShardedInterner(2)
-        init = [[], []]
-        finit = [[], []]
-        for u, v in edges:
-            e = canonical_edge(u, v)
-            su, sv = interner.shard_of(e[0]), interner.shard_of(e[1])
-            init[su].append(e)
-            if sv != su:
-                finit[sv].append(e)
-        shards = [start_shard(init=init[s], foreign=finit[s],
-                              shard_id=s, nshards=2)
-                  for s in range(2)]
+class TestEdgeDeltas:
+    def test_deltas_frame_returns_epoch_and_batches(self):
+        """One committed batch comes back with the epoch it committed
+        as, in the same frame; past the ring the reply is None."""
+        sh = start_shard(init=[(0, 1)])
         try:
-            vals, present = refine_distributed(shards, interner)
-            got = {interner.external(g): vals[g] for g in present}
-        finally:
-            for sh in shards:
-                sh.close()
-        oracle = Engine(DynamicGraph(list(edges)),
-                        EngineConfig(backend="sim"))
-        want = dict(oracle.maintainer.cores())
-        oracle.close()
-        assert got == want
-
-    def test_refine_is_repeatable_on_live_workers(self):
-        """refine_begin/refine_end must leave the worker reusable —
-        cores() is queried many times per engine lifetime."""
-        interner = ShardedInterner(1)
-        for v in (0, 1, 2):
-            interner.intern(v)
-        sh = start_shard(init=[(0, 1), (1, 2), (2, 0)])
-        try:
-            first = refine_distributed([sh], interner)
-            second = refine_distributed([sh], interner)
+            assert sh.edge_deltas(0) == (0, [])
+            sh.submit(Request("insert", u=1, v=2, id="a"))
+            sh.submit(Request("insert", u=2, v=3, id="b"))
+            sh.flush()
+            epoch, batches = sh.edge_deltas(0)
+            assert epoch == sh.epoch() == 1
+            assert [(e, k, sorted(canonical_edge(u, v) for u, v in es))
+                    for e, k, es in batches] == [(1, "+", [(1, 2), (2, 3)])]
+            assert sh.edge_deltas(1) == (1, [])
+            for i in range(DELTA_EPOCHS):
+                sh.submit(Request("insert", u=10 + i, v=11 + i,
+                                  id=f"r{i}"))
+                sh.flush()
+            epoch, batches = sh.edge_deltas(0)
+            assert epoch == 1 + DELTA_EPOCHS and batches is None
+            assert len(sh.edge_deltas(1)[1]) == DELTA_EPOCHS
         finally:
             sh.close()
-        assert first == second
-        assert first[0] and set(first[1]) == {interner.intern(v)
-                                              for v in (0, 1, 2)}
-
-    def test_empty_interner_short_circuits(self):
-        interner = ShardedInterner(1)
-        assert refine_distributed([], interner) == ([], set())
 
 
 class TestWorkerHelpers:

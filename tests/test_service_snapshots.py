@@ -85,7 +85,7 @@ class TestSnapshotStore:
         snapshots = {0: store.view(0).cores()}
         for i in range(commits):
             res = m.insert_edges([(i, i + 5)])
-            e, _ = store.commit_batch([(i, i + 5)], res)
+            e, _ = store.commit_batch("+", [(i, i + 5)], res)
             snapshots[e] = dict(m.cores())
         assert store.epoch == commits > CACHE_EPOCHS
         # every historical epoch answers correctly even after eviction

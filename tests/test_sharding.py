@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core.decomposition import core_decomposition
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.graph.interning import ShardedInterner
 from repro.service.engine import Engine, EngineConfig
@@ -17,6 +18,7 @@ from repro.service.requests import (
     STATUS_QUARANTINED,
 )
 from repro.service.sharding import LocalShard, ShardedEngine, shard_paths
+from repro.service.snapshots import DELTA_EPOCHS
 
 
 def update_stream(seed, nv, nops):
@@ -345,3 +347,139 @@ class TestSurface:
     def test_shards_must_be_positive(self):
         with pytest.raises(ValueError):
             ShardedEngine(None, EngineConfig(backend="sim", shards=0))
+
+
+def oracle_cores(eng, edges):
+    """From-scratch decomposition of ``edges`` over every vertex the
+    shards hold (a vertex whose last edge went stays present, core 0)."""
+    g = DynamicGraph(sorted(edges))
+    for sh in eng.shards:
+        for x in sh.present_vertices():
+            g.add_vertex(x)
+    return core_decomposition(g).core
+
+
+def stitch_script(seed):
+    """A valid update trace plus two hand-made episodes: a vertex pair
+    that loses its only edge, and edges inserted and removed (each
+    committed on its own) between two stitches.  ``"flush"`` steps
+    commit without stitching."""
+    script = [("insert", 90, 91), ("flush",)]
+    script += update_stream(seed, 48, 90)
+    script += [("remove", 90, 91)]
+    pairs = [(92, 93), (92, 94), (92, 95), (92, 96)]
+    script += [("insert", u, v) for u, v in pairs] + [("flush",)]
+    script += [("remove", u, v) for u, v in pairs] + [("flush",)]
+    script += update_stream(seed + 1, 48, 40)
+    return script
+
+
+class TestIncrementalStitch:
+    """The router keeps global cores with OI/OR over shard edge deltas;
+    every stitched map must equal a from-scratch decomposition."""
+
+    CASES = ([(b, n, every) for b in ("direct", "sim") for n in (2, 3, 4)
+              for every in (1, 7)]
+             + [("process", 2, 1), ("process", 2, 7)])
+
+    @pytest.mark.parametrize("backend,shards,every", CASES)
+    def test_stitch_after_every_kth_op_matches_decomposition(
+            self, backend, shards, every):
+        eng = ShardedEngine(None, EngineConfig(backend=backend,
+                                               shards=shards))
+        edges = set()
+        stitches = 0
+        try:
+            for i, step in enumerate(stitch_script(5), 1):
+                if step[0] == "flush":
+                    eng.flush()
+                    continue
+                op, u, v = step
+                getattr(eng, op)(u, v)
+                e = canonical_edge(u, v)
+                if op == "insert":
+                    edges.add(e)
+                else:
+                    edges.discard(e)
+                if i % every == 0:
+                    eng.flush()
+                    assert dict(eng.cores()) == oracle_cores(eng, edges)
+                    stitches += 1
+            eng.flush()
+            assert dict(eng.cores()) == oracle_cores(eng, edges)
+            assert eng.core(90) == eng.core(91) == 0
+            assert eng.core(92) == 0
+            counts = eng.metrics()["router"]
+            assert counts["stitch_rebuilds"] == 1
+            # views at an unchanged epoch vector are cache hits
+            assert 0 < counts["stitch_incremental"] <= stitches
+            assert counts["stitch_edges_applied"] > 0
+            eng.check()
+        finally:
+            eng.close()
+
+    def test_ring_overrun_takes_the_rebuild_path(self):
+        eng = ShardedEngine(None, EngineConfig(backend="direct", shards=2))
+        edges = set()
+        try:
+            eng.insert(0, 2)
+            eng.flush()
+            edges.add((0, 2))
+            assert dict(eng.cores()) == oracle_cores(eng, edges)
+            # more epochs on shard 0 than its delta ring holds
+            for i in range(DELTA_EPOCHS + 3):
+                eng.insert(2 * i + 2, 2 * i + 4)
+                eng.flush()
+                edges.add((2 * i + 2, 2 * i + 4))
+            assert dict(eng.cores()) == oracle_cores(eng, edges)
+            assert eng.metrics()["router"]["stitch_rebuilds"] == 2
+            eng.remove(0, 2)
+            eng.insert(0, 1)
+            eng.flush()
+            edges ^= {(0, 2), (0, 1)}
+            assert dict(eng.cores()) == oracle_cores(eng, edges)
+            counts = eng.metrics()["router"]
+            assert counts["stitch_rebuilds"] == 2
+            assert counts["stitch_incremental"] == 1
+        finally:
+            eng.close()
+
+    def test_check_catches_a_wrong_stitch(self, monkeypatch):
+        eng = ShardedEngine(None, EngineConfig(backend="direct", shards=2))
+        try:
+            for u, v in [(0, 1), (1, 2), (0, 2)]:
+                eng.insert(u, v)
+            monkeypatch.setattr(
+                eng, "_stitch", lambda vec: {0: 2, 1: 2, 2: 1})
+            with pytest.raises(AssertionError, match="from-scratch"):
+                eng.check()
+        finally:
+            eng.close()
+
+    def test_router_queryplane_follows_the_stitch(self):
+        """The router publishes each stitch with its touched set; a
+        reader attached to its plane must see exactly ``cores()``."""
+        from repro.service.queryplane import SnapshotReader
+
+        eng = ShardedEngine(DynamicGraph([(0, 1), (1, 2)]),
+                            EngineConfig(backend="direct", shards=2))
+        pub = eng.enable_queryplane()
+        try:
+            with SnapshotReader(pub.ctrl_name) as reader:
+                steps = [[("insert", 0, 2)],
+                         [("insert", 2, 3), ("insert", 0, 3),
+                          ("insert", 1, 3)],
+                         [("remove", 0, 1)],
+                         [("insert", 7, 8)]]   # vertices new to the plane
+                for batch in steps:
+                    for op, u, v in batch:
+                        getattr(eng, op)(u, v)
+                    eng.flush()
+                    value, epoch, _, err = reader.answer("cores")
+                    assert err is None and epoch == eng.epoch
+                    assert dict(value) == dict(eng.cores())
+                assert reader.answer("core", (8,))[0] == 1
+            assert eng.metrics()["router"]["stitch_incremental"] == 4
+        finally:
+            eng.close()
+            pub.close()

@@ -23,7 +23,7 @@ from repro.service.sharding import (
     shard_paths,
 )
 
-from tests.test_sharding import mono_cores, update_stream
+from tests.test_sharding import mono_cores, oracle_cores, update_stream
 
 
 def drive(eng, ops):
@@ -31,22 +31,42 @@ def drive(eng, ops):
         getattr(eng, op)(u, v)
 
 
+def union_edges(eng):
+    return {canonical_edge(u, v) for sh in eng.shards for u, v in sh.edges()}
+
+
+def fresh_cores(edges):
+    oracle = Engine(DynamicGraph(sorted(edges, key=repr)),
+                    EngineConfig(backend="sim"))
+    cores = dict(oracle.maintainer.cores())
+    oracle.close()
+    return cores
+
+
 def recovered_matches_fresh_decomposition(base, shards, backend="sim"):
     """Recover, then check the stitch against a from-scratch single
-    engine on the recovered union edge set.  Returns the recovered
+    engine on the recovered union edge set: the first stitch (the router
+    maintainer's rebuild), then an incremental one after a few more
+    updates — including removing a recovered edge — checked against the
+    same oracle and :meth:`ShardedEngine.check`.  Returns the recovered
     router (caller closes)."""
     rec = ShardedEngine.from_journals(
         base, EngineConfig(backend=backend, shards=shards))
-    got = rec.cores()
-    union = set()
-    for sh in rec.shards:
-        for u, v in sh.edges():
-            union.add(canonical_edge(u, v))
-    oracle = Engine(DynamicGraph(sorted(union, key=repr)),
-                    EngineConfig(backend="sim"))
-    fresh = dict(oracle.maintainer.cores())
-    oracle.close()
-    assert got == fresh
+    union = union_edges(rec)
+    assert rec.cores() == fresh_cores(union)
+    assert rec.metrics()["router"]["stitch_rebuilds"] == 1
+    if union:
+        rec.remove(*min(union))
+    for i in range(4):
+        rec.insert(1000 + i, i)
+    rec.insert(1000, 1001)
+    rec.flush()
+    # the removed edge's endpoints stay present (core 0 if isolated)
+    assert rec.cores() == oracle_cores(rec, union_edges(rec))
+    counts = rec.metrics()["router"]
+    assert counts["stitch_rebuilds"] == 1
+    assert counts["stitch_incremental"] == 1
+    rec.check()
     return rec
 
 
@@ -194,6 +214,7 @@ class TestCrashWindows:
         assert all(canonical_edge(0, 1) not in sh.engine._foreign
                    for sh in rec.shards)
         assert any(r.committed is False for r in rec.resolutions)
+        rec.check()
         rec.close()
 
     def test_commit_peer_crash_redoes_the_track_side(self, tmp_path):
@@ -220,6 +241,7 @@ class TestCrashWindows:
         assert rec.shards[coord].engine.graph.has_edge(0, 1)
         assert e in rec.shards[peer].engine._foreign
         assert any(r.committed for r in rec.resolutions)
+        rec.check()
         rec.close()
 
     def test_process_backend_recovers_crash_window(self, tmp_path):
