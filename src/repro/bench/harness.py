@@ -1012,8 +1012,9 @@ def run_queryplane(
     they are committed outside the timed windows rather than letting a
     small CI box serialize them into both walls.  Sampled answers are
     checked **bit-identical** to ``SnapshotStore.view(epoch)`` at the
-    stamped epoch (evicted epochs rebuild from history deltas, so the
-    check is exact even behind the LRU window).
+    stamped epoch, each phase's samples before the next update burst, so
+    every stamped epoch is still inside the store's retention horizon
+    (:data:`~repro.service.snapshots.DELTA_EPOCHS` commits).
 
     A separate smaller leg exercises mid-stream recovery: the primary
     journals with checkpoints, dies between two query bursts, restarts
@@ -1068,7 +1069,7 @@ def run_queryplane(
     # identically for both legs — so a scheduler stall on a shared CI
     # box doesn't charge one leg a tail it didn't earn
     state = [0]
-    base_samples = []
+    base_ok = True
     engine_wall = 0.0
     for phase in range(phases):
         _update_burst(eng, phase, state)
@@ -1086,9 +1087,8 @@ def run_queryplane(
             # the engine answered it against the then-latest view
             ep = resp.epoch if resp.epoch is not None \
                 else eng.snapshots.epoch
-            base_samples.append((kind, qargs,
-                                 (resp.value, ep, 0, resp.error)))
-    base_ok = _qp_verify(eng.snapshots, base_samples)
+            base_ok = base_ok and _qp_verify(
+                eng.snapshots, [(kind, qargs, (resp.value, ep, 0, resp.error))])
     eng.close()
     engine_qps = queries / max(engine_wall, 1e-9)
 
@@ -1102,7 +1102,7 @@ def run_queryplane(
     for n in readers:
         eng = Engine(DynamicGraph(initial), EngineConfig(num_workers=workers))
         publisher = eng.enable_queryplane()
-        samples = []
+        nsamples = 0
         state = [0]
         wall = 0.0
         try:
@@ -1126,11 +1126,13 @@ def run_queryplane(
                         if per_reader is None:
                             per_reader = got_now
                     wall += best or 0.0
-                    for r, got in enumerate(per_reader):
-                        for local_i, raw in got:
-                            samples.append((*slices[r][local_i], raw))
+                    samples = [(*slices[r][local_i], raw)
+                               for r, got in enumerate(per_reader)
+                               for local_i, raw in got]
+                    identical = identical and _qp_verify(eng.snapshots,
+                                                         samples)
+                    nsamples += len(samples)
                 eng.flush()
-            identical = identical and _qp_verify(eng.snapshots, samples)
         finally:
             eng.bind_read_counter(None)
             eng.close()
@@ -1140,7 +1142,7 @@ def run_queryplane(
             "wall_s": wall,
             "qps": qps,
             "speedup": qps / engine_qps,
-            "samples": len(samples),
+            "samples": nsamples,
         }
 
     # ----- mid-stream recovery leg -------------------------------------

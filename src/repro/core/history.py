@@ -69,27 +69,6 @@ class CoreHistory:
             self._record(w, self.m.core(w))
         return stats
 
-    def record_epoch(self, touched) -> int:
-        """Advance one logical step and record the *current* core of every
-        vertex in ``touched``.
-
-        This is the batch-commit entry point used by the serving engine
-        (:mod:`repro.service`): the engine applies a whole parallel batch
-        through its maintainer, collects the touched vertices (batch
-        endpoints plus every ``V*``), and records them here as a single
-        delta — one epoch per batch instead of one time step per edge.
-        Vertices the maintainer no longer knows are skipped.  Returns the
-        new logical time (== the committed epoch number).
-        """
-        self.t += 1
-        for w in touched:
-            try:
-                k = self.m.core(w)
-            except KeyError:
-                continue
-            self._record(w, k)
-        return self.t
-
     def record_marker(self, label: object) -> None:
         """Attach an application timestamp/label to the current time."""
         self._markers.append((self.t, label))

@@ -105,6 +105,12 @@ class VertexInterner:
         ext = self._to_ext
         return [ext[i] for i in ids]
 
+    def tables(self) -> Tuple[Dict[Vertex, int], List[Vertex]]:
+        """The live ``external -> id`` dict and ``id -> external`` list,
+        for hot read paths that index them directly.  Read-only: they
+        grow as ids are interned and must never be written."""
+        return self._to_int, self._to_ext
+
     # ------------------------------------------------------------------
     # container protocol
     # ------------------------------------------------------------------

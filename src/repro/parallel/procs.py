@@ -98,7 +98,6 @@ def _shard_worker(conn, shard_id: int, spec: Dict,
         eng = Engine(DynamicGraph(list(init_edges or [])), cfg,
                      foreign=list(foreign or ()))
 
-    qp = None  # worker-owned query-plane publisher (docs/queryplane.md)
     while True:
         try:
             msg = conn.recv()
@@ -144,13 +143,6 @@ def _shard_worker(conn, shard_id: int, spec: Dict,
                 out = eng.metrics()
             elif op == "check":
                 out = eng.check()
-            elif op == "qp_enable":
-                # publish this shard's epochs into worker-owned shared
-                # memory; the router (or any process) attaches readers
-                # by the returned ctrl name.  The engine publishes on
-                # every commit from here on — no extra frames needed.
-                qp = eng.enable_queryplane(**(msg[1] or {}))
-                out = qp.ctrl_name
             elif op == "quiesce":
                 payload = {
                     "epoch": eng.epoch,
@@ -160,14 +152,10 @@ def _shard_worker(conn, shard_id: int, spec: Dict,
                     "foreign": eng.foreign_edges(),
                 }
                 eng.close()
-                if qp is not None:
-                    qp.close()
                 conn.send(("ok", payload))
                 break
             elif op == "abandon":
                 eng.journal.close()
-                if qp is not None:
-                    qp.close()
                 conn.send(("ok", None))
                 break
             else:
@@ -230,11 +218,6 @@ class ProcessShard:
 
     def submit_many(self, requests):
         return self.rpc("submit_many", requests)
-
-    def enable_queryplane(self, **kwargs) -> str:
-        """Enable the worker-side epoch publisher; returns the ctrl
-        segment name any process can attach a SnapshotReader to."""
-        return self.rpc("qp_enable", kwargs)
 
     def flush(self):
         return self.rpc("flush")

@@ -217,14 +217,13 @@ class FollowerEngine:
         edges = [(u, v) for u, v in pending["edges"]]
         result = apply_batch(m, pending["kind"], edges)
         self.replay_makespan += result.makespan
-        got, touched = self.snapshots.commit_batch(
-            pending["kind"], edges, result)
+        got = self.snapshots.commit_batch(pending["kind"], edges, result)
         if got != epoch:
             raise ValueError(
                 f"replica {self.replica_id} epoch drift: replay produced "
                 f"epoch {got}, primary committed {epoch}"
             )
-        self.snapshots.publish_to(self._queryplane, touched)
+        self.snapshots.publish_to(self._queryplane)
 
     def _boot(self, graph: DynamicGraph, epoch0: int) -> None:
         self._adopt(
@@ -256,7 +255,10 @@ class FollowerEngine:
         if publisher is None:
             from repro.service.queryplane import EpochPublisher
 
-            publisher = EpochPublisher(**kwargs)
+            publisher = EpochPublisher(
+                interner=(self.snapshots.interner
+                          if self.snapshots is not None else None),
+                **kwargs)
         self._queryplane = publisher
         if self.snapshots is not None:
             self.snapshots.publish_to(publisher)

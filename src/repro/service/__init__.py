@@ -9,7 +9,8 @@ package answers "serve an interleaved stream of updates and queries":
 * :class:`PendingOps` / :class:`AdaptiveBatcher` — the coalescing /
   cancellation run buffer plus the size/time/pressure cut policy;
 * :class:`SnapshotStore` / :class:`SnapshotView` — epoch-versioned core
-  views built on :class:`~repro.core.history.CoreHistory` deltas;
+  views over one dense core array plus a bounded ring of per-epoch
+  undo deltas;
 * :class:`Request` / :class:`Response` — the request envelope and
   structured results;
 * :class:`ServiceMetrics` — counters, queue depths, per-epoch latency

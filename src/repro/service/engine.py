@@ -214,7 +214,7 @@ def _replay_committed(m, replay: Replay, start: int,
         result = apply_batch(m, b.kind, list(b.edges))
         if store is None:
             continue
-        epoch, _ = store.commit_batch(b.kind, b.edges, result)
+        epoch = store.commit_batch(b.kind, b.edges, result)
         if epoch != b.epoch:
             raise ValueError(
                 f"journal epoch mismatch on replay: rebuilt epoch "
@@ -525,12 +525,12 @@ class Engine:
         committed state.
 
         ``publisher`` lets a restarted engine rebind the buffers its
-        predecessor served (:meth:`from_journal` recovery): the rebind
-        re-publishes the full mirror at the restarted engine's epoch and
-        ``min_epoch``, so readers pinned below a checkpoint-truncated
-        epoch start getting structured refusals immediately.  ``kwargs``
-        (``capacity``, ``vocab_capacity``) size a freshly created
-        publisher.
+        predecessor served (:meth:`from_journal` recovery): the store
+        re-keys onto the publisher's interner and re-publishes at the
+        restarted engine's epoch and ``min_epoch``, so readers pinned
+        below a checkpoint-truncated epoch start getting structured
+        refusals immediately.  A fresh publisher shares the store's
+        interner; ``kwargs`` (``capacity``, ``vocab_capacity``) size it.
 
         ``read_counter`` is a zero-arg callable polled on every submit
         and flush — normally
@@ -545,7 +545,8 @@ class Engine:
         if publisher is None:
             from repro.service.queryplane import EpochPublisher
 
-            publisher = EpochPublisher(**kwargs)
+            publisher = EpochPublisher(interner=self.snapshots.interner,
+                                       **kwargs)
         self._queryplane = publisher
         if read_counter is not None:
             self.bind_read_counter(read_counter)
@@ -590,7 +591,7 @@ class Engine:
         invariants."""
         self.flush()
         self.maintainer.check()
-        self.snapshots.history.check()
+        self.snapshots.check()
         self.metrics_collector.assert_invariant()
 
     def close(self) -> None:
@@ -783,9 +784,9 @@ class Engine:
                 batch = list(live)
         self.now += result.makespan
         self.metrics_collector.fold_report(result.report)
-        epoch, touched = self.snapshots.commit_batch(kind, batch, result)
+        epoch = self.snapshots.commit_batch(kind, batch, result)
         self.journal.log_commit(epoch)
-        self.snapshots.publish_to(self._queryplane, touched)
+        self.snapshots.publish_to(self._queryplane)
         self._note_commit_window(kind, batch)
         detail = f"retried:{attempt}" if attempt else None
         if attempt:
@@ -1117,8 +1118,8 @@ class Engine:
             makespan = result.makespan
             self.now += makespan
             self.metrics_collector.fold_report(result.report)
-            epoch, touched = self.snapshots.commit_batch(kind, batch, result)
-            self.snapshots.publish_to(self._queryplane, touched)
+            epoch = self.snapshots.commit_batch(kind, batch, result)
+            self.snapshots.publish_to(self._queryplane)
         else:
             epoch = self.epoch
         for p in tracked:

@@ -58,7 +58,8 @@ Every answer is stamped with ``snapshot_epoch`` (the epoch it was
 answered against) and ``staleness_epochs`` (how many epochs the latest
 published buffer was ahead at answer time).  A reader pinned to an epoch
 older than the publisher's ``min_epoch`` (checkpoint truncation,
-replica promotion) gets a structured :data:`E_EPOCH_TRUNCATED` refusal;
+replica promotion, or the snapshot store's retention horizon) gets a
+structured :data:`E_EPOCH_TRUNCATED` refusal;
 a pin inside the valid range but no longer buffered gets
 :data:`E_EPOCH_UNAVAILABLE` (fall back to the engine path) — never a
 stale or torn answer.
@@ -69,8 +70,9 @@ from __future__ import annotations
 import pickle
 import struct
 import time
+from array import array
 from typing import (
-    Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple,
+    Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple,
 )
 
 from multiprocessing import connection as _mpconn
@@ -87,7 +89,7 @@ from repro.service.requests import (
     Response,
     make_error,
 )
-from repro.service.snapshots import SnapshotView, answer_query
+from repro.service.snapshots import CORE_UNKNOWN, SnapshotView, answer_query
 
 Vertex = Hashable
 
@@ -130,8 +132,6 @@ CTRL_SLOTS = 8
 NAME_BYTES = 128
 CTRL_BYTES = CTRL_SLOTS * INT64 + 3 * NAME_BYTES
 
-#: payload value for "this interned vertex has no core at this epoch"
-CORE_UNKNOWN = -1
 #: header epoch before the first publish (nothing answerable yet)
 NO_EPOCH = -1
 
@@ -213,11 +213,12 @@ def _get_name(buf, field: int) -> str:
 class EpochPublisher:
     """Engine-side writer of the wait-free snapshot buffers.
 
-    One publisher per serving engine (primary, follower, or shard
-    worker).  :meth:`publish` is called at every epoch commit with the
-    committed core map and the touched set; the publisher keeps a
-    private mirror of the dense payload so a commit costs
-    O(|touched| + memcpy), not O(|V|) re-encoding.
+    One publisher per serving engine (primary, follower, or sharded
+    router).  :meth:`publish` is called at every epoch commit with the
+    committed dense core array of the engine's
+    :class:`~repro.service.snapshots.SnapshotStore`, whose interner the
+    publisher shares: a commit costs one memcpy of the array into the
+    back buffer plus the vocab entries of newly interned vertices.
 
     The publisher owns every segment it creates and unlinks them in
     :meth:`close`; readers attach by ``ctrl_name`` and never own.
@@ -227,13 +228,14 @@ class EpochPublisher:
                  interner: Optional[VertexInterner] = None) -> None:
         if capacity < 1 or vocab_capacity < _LEN.size + 1:
             raise ValueError("capacity/vocab_capacity too small")
-        self._interner = interner if interner is not None else VertexInterner()
-        self._mirror = int64_buffer(0)
-        self._vocab_mirror = bytearray()
-        for x in self._interner:
-            self._note_vocab(x)
-        self._capacity = max(capacity, len(self._interner))
-        self._vocab_capacity = max(vocab_capacity, len(self._vocab_mirror))
+        #: vertex <-> payload slot; readers hold these ids, so the
+        #: interner is fixed for the publisher's life
+        self.interner = interner if interner is not None else VertexInterner()
+        self._vocab_log = bytearray()
+        self._vocab_count = 0
+        self._note_vocab()
+        self._capacity = max(capacity, len(self.interner))
+        self._vocab_capacity = max(vocab_capacity, len(self._vocab_log))
         self._generation = 0
         self._active = 0
         self._seq = [0, 0]
@@ -241,9 +243,8 @@ class EpochPublisher:
         self._ctrl = _Seg(_create(CTRL_BYTES), CTRL_SLOTS, owned=True)
         self._bufs: List[_Seg] = []
         self._vocab: Optional[_Seg] = None
-        self._alloc_segments()
+        self._alloc_segments(b"")
         self._write_ctrl()
-        self.publishes = 0
 
     # -- layout ---------------------------------------------------------
     @property
@@ -251,15 +252,12 @@ class EpochPublisher:
         """The control segment name — the only address readers need."""
         return self._ctrl.shm.name
 
-    @property
-    def epoch(self) -> int:
-        """The last published epoch (:data:`NO_EPOCH` before the first)."""
-        return self._last[0]
-
     def _buf_bytes(self) -> int:
         return (HEADER_SLOTS + self._capacity) * INT64
 
-    def _alloc_segments(self) -> None:
+    def _alloc_segments(self, payload) -> None:
+        """Allocate fresh buffers and vocab, stamping ``payload`` (the
+        last published epoch's) into both buffers."""
         self._bufs = [
             _Seg(_create(self._buf_bytes()), HEADER_SLOTS + self._capacity,
                  owned=True)
@@ -267,11 +265,11 @@ class EpochPublisher:
         ]
         self._vocab = _Seg(_create(self._vocab_capacity), 0, owned=True)
         self._seq = [0, 0]
-        n = len(self._vocab_mirror)
-        self._vocab.shm.buf[:n] = bytes(self._vocab_mirror)
+        n = len(self._vocab_log)
+        self._vocab.shm.buf[:n] = self._vocab_log
         self._vocab_written = n
         for b in (0, 1):
-            self._write_buffer(b, *self._last)
+            self._write_buffer(b, *self._last, payload)
 
     def _write_ctrl(self) -> None:
         ctrl = self._ctrl.i64
@@ -286,107 +284,97 @@ class EpochPublisher:
         ctrl[QP_CTRL_VOCAB_BYTES] = self._vocab_capacity
         ctrl[QP_CTRL_SEQ] = seq + 2
 
-    def _write_buffer(self, b: int, epoch: int, min_epoch: int) -> None:
-        """Seqlock-write buffer ``b``: odd stamps, payload + header
-        fields, even echo, even stamp.  The echo is the last store
-        after the payload; the stamp pair brackets every payload byte
-        (module docstring, *Memory-model caveat*)."""
+    def _write_buffer(self, b: int, epoch: int, min_epoch: int,
+                      payload) -> None:
+        """Seqlock-write buffer ``b``: odd stamps, payload (raw int64
+        bytes) + header fields, even echo, even stamp.  The echo is the
+        last store after the payload; the stamp pair brackets every
+        payload byte (module docstring, *Memory-model caveat*)."""
         seg = self._bufs[b]
         hdr = seg.i64
         self._seq[b] += 1
         hdr[QP_SEQ] = self._seq[b]
         hdr[QP_SEQ_ECHO] = self._seq[b]
-        n = len(self._mirror)
-        if n:
-            hdr[HEADER_SLOTS:HEADER_SLOTS + n] = memoryview(self._mirror)[:n]
+        off = HEADER_SLOTS * INT64
+        seg.shm.buf[off:off + len(payload)] = payload
         hdr[QP_EPOCH] = epoch
         hdr[QP_MIN_EPOCH] = min_epoch
-        hdr[QP_N] = n
-        hdr[QP_VOCAB_LEN] = len(self._vocab_mirror)
-        hdr[QP_VOCAB_COUNT] = len(self._interner)
+        hdr[QP_N] = len(payload) // INT64
+        hdr[QP_VOCAB_LEN] = len(self._vocab_log)
+        hdr[QP_VOCAB_COUNT] = self._vocab_count
         self._seq[b] += 1
         hdr[QP_SEQ_ECHO] = self._seq[b]
         hdr[QP_SEQ] = self._seq[b]
 
-    # -- mirror maintenance ---------------------------------------------
-    def _note_vocab(self, x: Vertex) -> None:
-        blob = pickle.dumps(x, protocol=4)
-        self._vocab_mirror += _LEN.pack(len(blob)) + blob
+    # -- vocab -----------------------------------------------------------
+    def _note_vocab(self) -> None:
+        """Log the vocab entries of every id interned since last time."""
+        external = self.interner.external
+        for i in range(self._vocab_count, len(self.interner)):
+            blob = pickle.dumps(external(i), protocol=4)
+            self._vocab_log += _LEN.pack(len(blob)) + blob
+        self._vocab_count = len(self.interner)
 
-    def _intern(self, x: Vertex) -> int:
-        n = len(self._interner)
-        i = self._interner.intern(x)
-        if i == n:  # newly assigned: append its vocab entry
-            self._note_vocab(x)
-        return i
-
-    def _regrow(self) -> None:
+    def _regrow(self, n: int) -> None:
         """Reallocate segments (doubled) and re-stamp the *previous*
-        epoch into both buffers, so pinned readers of that epoch keep
-        getting pre-grow-consistent answers; the caller then publishes
-        the new epoch on top.  Old segments are unlinked — attached
-        readers keep a valid mapping and re-attach on the next
-        generation check."""
+        epoch — copied from the active buffer — into both, so pinned
+        readers of that epoch keep getting pre-grow answers; the caller
+        then publishes the new epoch on top.  Old segments are unlinked
+        — attached readers keep a valid mapping and re-attach on the
+        next generation check."""
         old = (*self._bufs, self._vocab)
-        while self._capacity < len(self._interner):
+        active = self._bufs[self._active]
+        off = HEADER_SLOTS * INT64
+        prev = bytes(active.shm.buf[off:off + active.i64[QP_N] * INT64])
+        while self._capacity < n:
             self._capacity *= 2
-        while self._vocab_capacity < len(self._vocab_mirror):
+        while self._vocab_capacity < len(self._vocab_log):
             self._vocab_capacity *= 2
         self._generation += 1
-        self._alloc_segments()
+        self._alloc_segments(prev)
         self._write_ctrl()
         for seg in old:
             seg.release(unlink=True)
 
     # -- the publish hook ------------------------------------------------
-    def publish(self, epoch: int, min_epoch: int,
-                cores: Dict[Vertex, int],
+    def publish(self, epoch: int, min_epoch: int, cores,
                 touched: Optional[Iterable[Vertex]] = None) -> None:
-        """Publish the core map of a committed epoch.
+        """Publish the core assignment of a committed epoch.
 
-        ``touched`` is the commit's changed-vertex set (endpoints plus
-        ``V*``); ``None`` forces a full mirror rewrite — the first
-        publish and every rebind (recovery, promotion) pass ``None``.
-        ``min_epoch`` moves the refusal boundary: pins below it get
+        ``cores`` is the store's dense int64 core array over
+        :attr:`interner` (slot *i* holds the core of id *i*, or
+        :data:`CORE_UNKNOWN`), copied whole into the back buffer — or,
+        for a standalone publisher, a ``vertex -> core`` mapping, interned
+        and encoded here (``touched`` is accepted for commit-shaped
+        callers; the whole map is encoded either way).  ``min_epoch``
+        moves the refusal boundary: pins below it get
         :data:`E_EPOCH_TRUNCATED`.
         """
-        for x in (cores if touched is None else touched):
-            self._intern(x)
-        n = len(self._interner)
-        # Extend the mirror with CORE_UNKNOWN slots only — newly
-        # interned vertices were first seen in *this* commit, so the
-        # extended mirror is still a faithful image of the *previous*
-        # epoch's payload.  That matters right below: a regrow
-        # re-stamps both fresh buffers with the previous
-        # (epoch, min_epoch), so it must run before this epoch's
-        # values land, or pinned readers of the previous epoch would
-        # get new-epoch values under the old stamp.
-        if len(self._mirror) < n:
-            self._mirror.extend([CORE_UNKNOWN] * (n - len(self._mirror)))
-        if (n > self._capacity
-                or len(self._vocab_mirror) > self._vocab_capacity):
-            self._regrow()
-        elif len(self._vocab_mirror) > self._vocab_written:
+        if isinstance(cores, Mapping):
+            cores = self._encode(cores)
+        self._note_vocab()
+        n = len(cores)
+        if n > self._capacity or len(self._vocab_log) > self._vocab_capacity:
+            self._regrow(n)
+        elif len(self._vocab_log) > self._vocab_written:
             # append-only: ship the new vocab tail before the header
             # that advertises it, so readers never chase missing bytes
-            w, m = self._vocab_written, len(self._vocab_mirror)
-            self._vocab.shm.buf[w:m] = bytes(self._vocab_mirror[w:m])
+            w, m = self._vocab_written, len(self._vocab_log)
+            self._vocab.shm.buf[w:m] = self._vocab_log[w:m]
             self._vocab_written = m
-        lookup = self._interner.lookup
-        if touched is None:
-            self._mirror = int64_buffer(n, CORE_UNKNOWN)
-            for x, k in cores.items():
-                self._mirror[lookup(x)] = k
-        else:
-            get = cores.get
-            for x in touched:
-                self._mirror[lookup(x)] = get(x, CORE_UNKNOWN)
         back = 1 - self._active
-        self._write_buffer(back, epoch, min_epoch)
+        with memoryview(cores) as whole, whole.cast("B") as raw:
+            self._write_buffer(back, epoch, min_epoch, raw)
         self._active = back
         self._ctrl.i64[QP_CTRL_ACTIVE] = back
         self._last = (epoch, min_epoch)
-        self.publishes += 1
+
+    def _encode(self, cores: Mapping[Vertex, int]) -> array:
+        slots = self.interner.intern_many(cores)
+        dense = int64_buffer(len(self.interner), CORE_UNKNOWN)
+        for i, k in zip(slots, cores.values()):
+            dense[i] = k
+        return dense
 
     # -- lifecycle -------------------------------------------------------
     def close(self, unlink: bool = True) -> None:
@@ -593,23 +581,23 @@ class SnapshotReader:
             )
 
     def _materialize(self, b: int, meta: Tuple[int, ...]) -> Optional[SnapshotView]:
-        """A :class:`SnapshotView` of buffer ``b``'s payload, or ``None``
-        on a torn copy.  Views are cached per epoch so aggregate kinds
-        (``degeneracy`` …) reuse the satellite-cached results."""
+        """A :class:`SnapshotView` over a private copy of buffer ``b``'s
+        payload, or ``None`` on a torn copy.  Views are cached per epoch
+        so aggregate kinds (``degeneracy`` …) reuse the per-view
+        results."""
         seq, epoch, _min_epoch, n, vlen, vcount = meta
         cached = self._view_cache.get(epoch)
         if cached is not None and cached[0] == seq and cached[1] == b:
             return cached[2]
         self._decode_vocab(vcount, vlen)
-        hdr = self._bufs[b].i64
-        vals = hdr[HEADER_SLOTS:HEADER_SLOTS + n].tolist()
+        seg = self._bufs[b]
+        off = HEADER_SLOTS * INT64
+        cores = array("q")
+        cores.frombytes(seg.shm.buf[off:off + n * INT64])
+        hdr = seg.i64
         if hdr[QP_SEQ_ECHO] != seq or hdr[QP_SEQ] != seq:
             return None
-        ext = self._externals
-        cores = {
-            ext[i]: v for i, v in enumerate(vals) if v != CORE_UNKNOWN
-        }
-        view = SnapshotView(epoch, cores)
+        view = SnapshotView(epoch, cores, self._slots, self._externals)
         self._view_cache[epoch] = (seq, b, view)
         if len(self._view_cache) > 4:
             self._view_cache.pop(next(iter(self._view_cache)))
@@ -635,22 +623,14 @@ class SnapshotReader:
             b, meta, latest, refusal = self._locate(pin_epoch)
             if refusal is not None:
                 return None, latest, 0, refusal
-            if kind in _POINT_KINDS:
-                view = self._point_view(b, meta, args)
-            else:
-                view = self._materialize(b, meta)
+            view = self._materialize(b, meta)
             if view is not None:
                 break
             spins = self._spin(spins)
         value, err = answer_query(view, kind, args)
-        return value, view.epoch, self._staleness(view.epoch, latest), err
-
-    def _staleness(self, epoch: int, latest: int) -> int:
-        """Epoch distance from the freshest published buffer as of this
-        answer's own location pass — a pinned (or just-superseded)
-        buffer reports how far behind it already was, without paying a
-        second ctrl/header read per answer."""
-        return max(0, latest - epoch)
+        # staleness as of this answer's own location pass: a pinned (or
+        # just-superseded) buffer reports how far behind it already was
+        return value, view.epoch, max(0, latest - view.epoch), err
 
     def _answer_point_fast(self, kind: str, args: Tuple):
         """Fused read for an unpinned point query: one stable pass over
@@ -701,22 +681,6 @@ class SnapshotReader:
         except TypeError:
             return None  # bad k: the general path builds the refusal
 
-    def _point_view(self, b: int, meta: Tuple[int, ...],
-                    args: Tuple) -> Optional[SnapshotView]:
-        """Point kinds (``core``/``in_k_core``) skip the payload copy: a
-        single slot load under the seqlock, as a one-vertex view that
-        :func:`~repro.service.snapshots.answer_query` answers exactly as
-        the in-engine path does.  ``None`` on a torn read."""
-        seq, epoch, _min_epoch, n, vlen, vcount = meta
-        u = args[0] if args else None
-        self._decode_vocab(vcount, vlen)
-        slot = self._slots.get(u)
-        hdr = self._bufs[b].i64
-        val = hdr[HEADER_SLOTS + slot] if slot is not None and slot < n else CORE_UNKNOWN
-        if hdr[QP_SEQ_ECHO] != seq or hdr[QP_SEQ] != seq:
-            return None
-        return SnapshotView(epoch, {} if val == CORE_UNKNOWN else {u: val})
-
     def respond(self, kind: str, args: Tuple = (),
                 pin_epoch: Optional[int] = None,
                 id: str = "qp") -> Response:
@@ -745,7 +709,7 @@ class SnapshotReader:
         self.close()
 
 
-#: kinds answered from a single payload slot (no full-map copy)
+#: kinds the fused fast path answers from a single payload slot
 _POINT_KINDS = ("core", "in_k_core")
 
 

@@ -41,12 +41,15 @@
   :class:`~repro.core.maintainer.OrderMaintainer` and, at each view,
   applies the edge batches every shard committed since the router's
   last epoch vector (:meth:`SnapshotStore.edge_deltas
-  <repro.service.snapshots.SnapshotStore.edge_deltas>`).  Cores are a
-  function of the edge set, so the result equals a single engine on
-  the same committed edges — the differential guarantee the tests pin,
-  with a from-scratch H-index refinement
-  (:func:`repro.parallel.hindex.graph_cores`) as the oracle in
-  :meth:`ShardedEngine.check`.  Views are cached per epoch vector.
+  <repro.service.snapshots.SnapshotStore.edge_deltas>`), committing
+  the touched vertices through its own
+  :class:`~repro.service.snapshots.SnapshotStore` stamped with the
+  global epoch.  Cores are a function of the edge set, so the result
+  equals a single engine on the same committed edges — the
+  differential guarantee the tests pin, with a from-scratch H-index
+  refinement (:func:`repro.parallel.hindex.graph_cores`) as the oracle
+  in :meth:`ShardedEngine.check`.  The store's head view serves every
+  read until some shard commits again.
 
 Response-stream semantics intentionally differ from a monolithic engine
 in two documented ways: update responses carry *shard-local* epochs
@@ -78,7 +81,7 @@ from repro.service.requests import (
     Response,
     make_error,
 )
-from repro.service.snapshots import SnapshotView, answer_query
+from repro.service.snapshots import SnapshotStore, SnapshotView, answer_query
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -132,11 +135,6 @@ class LocalShard:
 
     def take_completed(self) -> List[Response]:
         return self.engine.take_completed()
-
-    def enable_queryplane(self, **kwargs) -> str:
-        """Publish this shard's epochs (docs/queryplane.md); returns the
-        ctrl segment name for attaching readers."""
-        return self.engine.enable_queryplane(**kwargs).ctrl_name
 
     # -- 2PC participant ----------------------------------------------
     def prepare_cross(self, tx: str, kind: str, edge: Edge, rid: str,
@@ -305,24 +303,18 @@ class ShardedEngine:
         self._group_cap = (self.config.cross_group
                            or 4 * self.config.max_batch)
         self._completed: List[Response] = []
-        self._stitch_cache: Optional[Tuple[Tuple[int, ...], SnapshotView]] = None
-        #: the router's global maintainer over the union graph, the shard
-        #: epoch vector it reflects and its core map (built at the first
-        #: view; see _stitch)
-        self._router: Optional[OrderMaintainer] = None
-        self._router_vec: Tuple[int, ...] = ()
-        self._router_cores: Dict[Vertex, int] = {}
-        #: vertices the last stitch may have changed (None: all of them)
-        self._stitch_touched: Optional[set] = None
+        #: the router's store over its global maintainer of the union
+        #: graph, and the shard epoch vector both reflect: empty, and no
+        #: vector, until the first view rebuilds them (see _stitch)
+        self._snapshots = SnapshotStore(OrderMaintainer(DynamicGraph()))
+        self._router_vec: Optional[Tuple[int, ...]] = None
         self._stitch_counts = {"stitch_rebuilds": 0, "stitch_incremental": 0,
                               "stitch_edges_applied": 0}
         self.resolutions: List[_Resolution] = []
         self._closed = False
         #: stitched-global query plane (docs/queryplane.md): refreshed
-        #: whenever the stitch cache recomputes, plus on every flush
+        #: at every stitch, and so after every flush that committed
         self._queryplane = None
-        self._qp_min_epoch = 0
-        self._shard_planes: List[str] = []
         if _shards is not None:
             self.shards = _shards
             return
@@ -466,42 +458,25 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # wait-free query plane (docs/queryplane.md)
     # ------------------------------------------------------------------
-    def enable_queryplane(self, publisher=None, per_shard: bool = False,
-                          **kwargs):
-        """Attach the stitched-global epoch publisher (and optionally a
-        per-shard plane on every shard engine).
+    def enable_queryplane(self, publisher=None, **kwargs):
+        """Attach the stitched-global epoch publisher.
 
-        The global buffer carries the stitched core map stamped with the
-        global epoch (the shard-epoch vector sum) and refreshes whenever
-        the stitch recomputes — after :meth:`flush` and on any
-        :meth:`view` at a new epoch vector — rewriting only the vertices
-        that stitch touched.  Its ``min_epoch`` is the global epoch at
-        enable time: pre-stitch history is not reconstructible, so older
-        pins get a structured refusal.
-
-        With ``per_shard=True`` every shard engine additionally
-        publishes its *own* epochs from its own process (workers publish
-        at each local commit — no router involvement); the ctrl names
-        are returned by :meth:`shard_queryplanes`.
+        The buffer carries the router store's head — the stitched core
+        map stamped with the global epoch (the shard-epoch vector sum) —
+        and refreshes at every stitch: after :meth:`flush` and on any
+        :meth:`view` at a new epoch vector.  Its ``min_epoch`` is the
+        router store's: the epoch of the last rebuild, advancing with
+        the retention horizon; older pins get a structured refusal.
         """
+        self.view()
         if publisher is None:
             from repro.service.queryplane import EpochPublisher
 
-            publisher = EpochPublisher(**kwargs)
-        if per_shard:
-            self._shard_planes = [
-                sh.enable_queryplane(**kwargs) for sh in self.shards
-            ]
-        view = self.view()
+            publisher = EpochPublisher(interner=self._snapshots.interner,
+                                       **kwargs)
         self._queryplane = publisher
-        self._qp_min_epoch = view.epoch
-        publisher.publish(view.epoch, view.epoch, view.mapping, None)
+        self._snapshots.publish_to(publisher)
         return publisher
-
-    def shard_queryplanes(self) -> List[str]:
-        """Ctrl segment names of the per-shard planes (empty unless
-        ``enable_queryplane(per_shard=True)``)."""
-        return list(self._shard_planes)
 
     def take_completed(self) -> List[Response]:
         out = self._completed
@@ -518,24 +493,13 @@ class ShardedEngine:
         return self.view().cores()
 
     def view(self) -> SnapshotView:
-        """One consistent stitched view of the latest committed state.
-
-        Cached per epoch vector: a view is recomputed only when some
-        shard committed since the last stitch.
-        """
+        """One consistent stitched view of the latest committed state:
+        the router store's head, re-stitched only when some shard
+        committed since the last stitch."""
         vec = self._epoch_vector()
-        if self._stitch_cache is not None and self._stitch_cache[0] == vec:
-            return self._stitch_cache[1]
-        view = SnapshotView(sum(vec), self._stitch(vec))
-        self._stitch_cache = (vec, view)
-        if self._queryplane is not None:
-            # global epochs are the (strictly increasing) vector sum, so
-            # every stamped epoch names exactly one stitched state
-            self._queryplane.publish(
-                view.epoch, self._qp_min_epoch, view.mapping,
-                self._stitch_touched,
-            )
-        return view
+        if vec != self._router_vec:
+            self._stitch(vec)
+        return self._snapshots.view()
 
     def metrics(self) -> Dict:
         """Router ledger (plus the stitch counters) and every shard's own
@@ -560,8 +524,8 @@ class ShardedEngine:
             sh.check()
         self.metrics_collector.assert_invariant()
         got = dict(self.cores())
-        if self._router is not None:
-            self._router.check()
+        self._snapshots.maintainer.check()
+        self._snapshots.check()
         want = graph_cores(self._union_graph())
         if got != want:
             wrong = sorted((x for x in want.keys() | got.keys()
@@ -845,18 +809,21 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # epoch stitch
     # ------------------------------------------------------------------
-    def _stitch(self, vec: Tuple[int, ...]) -> Dict[Vertex, int]:
-        """Exact global cores at the shard epoch vector ``vec``.
+    def _stitch(self, vec: Tuple[int, ...]) -> None:
+        """Bring the router's maintainer and store to the shard epoch
+        vector ``vec``.
 
         Asks only the shards whose epoch moved for the edge batches they
-        committed since the router's vector, and applies each shard's
-        batches in epoch order with OI/OR.  Every edge has exactly one
-        maintaining shard (owner or coordinator), so the interleaving of
-        shards cannot produce an invalid operation and the resulting
-        cores do not depend on it.  The first view, a restart, and any
-        shard whose delta ring no longer reaches back rebuild instead.
+        committed since the router's vector, applies each shard's
+        batches in epoch order with OI/OR, and commits the touched
+        vertices as global epoch ``sum(vec)``.  Every edge has exactly
+        one maintaining shard (owner or coordinator), so the
+        interleaving of shards cannot produce an invalid operation and
+        the resulting cores do not depend on it.  The first view, a
+        restart, and any shard whose delta ring no longer reaches back
+        rebuild instead.
         """
-        if self._router is None:
+        if self._router_vec is None:
             return self._rebuild(vec)
         deltas = []
         for s, (mine, now) in enumerate(zip(self._router_vec, vec)):
@@ -865,7 +832,7 @@ class ShardedEngine:
                 if batches is None:
                     return self._rebuild(vec)
                 deltas.append(batches)
-        m = self._router
+        m = self._snapshots.maintainer
         touched = set()
         applied = 0
         for batches in deltas:
@@ -876,26 +843,21 @@ class ShardedEngine:
                     touched.add(v)
                     touched.update(op(u, v).v_star)
                 applied += len(edges)
-        cores = dict(self._router_cores)
-        core = m.core
-        for x in touched:
-            cores[x] = core(x)
         self._router_vec = vec
-        self._router_cores = cores
-        self._stitch_touched = touched
+        self._snapshots.commit(touched, epoch=sum(vec))
+        self._snapshots.publish_to(self._queryplane)
         self._stitch_counts["stitch_incremental"] += 1
         self._stitch_counts["stitch_edges_applied"] += applied
-        return cores
 
-    def _rebuild(self, vec: Tuple[int, ...]) -> Dict[Vertex, int]:
-        """Build the router maintainer from every shard's full edge list:
-        one decomposition of the union graph at ``vec``."""
-        self._router = OrderMaintainer(self._union_graph())
+    def _rebuild(self, vec: Tuple[int, ...]) -> None:
+        """Build the router maintainer and a fresh store from every
+        shard's full edge list: one decomposition of the union graph at
+        ``vec``."""
         self._router_vec = vec
-        self._router_cores = self._router.cores()
-        self._stitch_touched = None
+        self._snapshots = SnapshotStore(OrderMaintainer(self._union_graph()),
+                                        epoch0=sum(vec))
+        self._snapshots.publish_to(self._queryplane)
         self._stitch_counts["stitch_rebuilds"] += 1
-        return self._router_cores
 
     def _union_graph(self) -> DynamicGraph:
         """The union of shard subgraphs: maintained plus foreign-tracked

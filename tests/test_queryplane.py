@@ -31,7 +31,7 @@ from repro.service.requests import (
     STATUS_COMMITTED,
     STATUS_QUARANTINED,
 )
-from repro.service.snapshots import CACHE_EPOCHS, QUERY_KINDS
+from repro.service.snapshots import QUERY_KINDS
 
 ALL_KINDS = sorted(QUERY_KINDS)
 
@@ -338,10 +338,10 @@ class TestPinContract:
 
 class TestEvictedEpochRebuild:
     def test_sampled_answers_verify_after_eviction(self):
-        """Answers stamped with epochs that have since left the store's
-        LRU window still verify bit-identical — the store rebuilds the
-        view from history deltas, so the bench's equality check is exact
-        arbitrarily far behind the head."""
+        """Answers stamped with epochs the head has since moved past
+        still verify bit-identical — the store rolls the view back
+        through its ring, so the bench's equality check is exact
+        anywhere inside the retention horizon."""
         eng = Engine(DynamicGraph(erdos_renyi(20, 50, seed=4)),
                      EngineConfig(max_batch=1))
         pub = eng.enable_queryplane()
@@ -355,10 +355,11 @@ class TestEvictedEpochRebuild:
                     kind = rng.choice(ALL_KINDS)
                     args = query_args(kind, 20, rng)
                     sampled.append((kind, args, r.answer(kind, args)))
-            # far past the store's LRU window
-            assert eng.snapshots.epoch > 2 * CACHE_EPOCHS
+            # far behind the head, inside the retention horizon
+            assert eng.snapshots.epoch > 16
+            assert eng.snapshots.min_epoch == 0
             for kind, args, (value, epoch, _, err) in sampled:
-                view = eng.snapshots.view(epoch)  # rebuilt if evicted
+                view = eng.snapshots.view(epoch)  # rolled back
                 want = expected(view, kind, args)
                 if err is not None:
                     assert kind == "core" and want is None
@@ -491,17 +492,17 @@ class TestPublisherIncrementalMirror:
         try:
             eng.flush()
             view = eng.snapshots.view()
-            full.publish(view.epoch, 0, view.mapping, None)
-            incr.publish(view.epoch, 0, view.mapping, None)
+            full.publish(view.epoch, 0, view.cores(), None)
+            incr.publish(view.epoch, 0, view.cores(), None)
             with SnapshotReader(full.ctrl_name) as rf, \
                     SnapshotReader(incr.ctrl_name) as ri:
                 for op, u, v in update_stream(30, 20, 25):
                     getattr(eng, op)(u, v)
                     eng.flush()
                     view = eng.snapshots.view()
-                    full.publish(view.epoch, 0, view.mapping, None)
-                    incr.publish(view.epoch, 0, view.mapping,
-                                 touched=[u, v] + list(view.mapping))
+                    full.publish(view.epoch, 0, view.cores(), None)
+                    incr.publish(view.epoch, 0, view.cores(),
+                                 touched=[u, v] + list(view.cores()))
                     a = rf.answer("shell_histogram", ())
                     b = ri.answer("shell_histogram", ())
                     assert a == b and a[1] == view.epoch
