@@ -97,11 +97,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="queryplane workload: skip the mid-stream crash/"
                         "recovery leg")
     p.add_argument("--crash-rate", type=float, default=0.01,
-                   help="chaos workload: per-event worker crash probability")
+                   help="chaos workload: per-edge crash probability")
     p.add_argument("--stall-rate", type=float, default=0.01,
-                   help="chaos workload: per-event stall probability")
-    p.add_argument("--timeout-rate", type=float, default=0.01,
-                   help="chaos workload: per-try acquire-timeout probability")
+                   help="chaos workload: per-edge stall probability")
     p.add_argument("--max-crashes", type=int, default=8,
                    help="chaos workload: total crash budget per engine")
     p.add_argument("--restarts", type=int, default=2,
@@ -227,7 +225,6 @@ def _run(args: argparse.Namespace) -> int:
                 cell = harness.run_service(
                     ds,
                     ops=args.ops,
-                    workers=max(args.workers),
                     query_rate=args.query_rate,
                     seed=args.seed,
                     max_batch=max(1, args.batch // 4),
@@ -244,13 +241,11 @@ def _run(args: argparse.Namespace) -> int:
                 harness.run_chaos(
                     ds,
                     ops=args.ops,
-                    workers=max(args.workers),
                     query_rate=args.query_rate,
                     seed=args.seed,
                     max_batch=max(1, args.batch // 16),
                     crash_rate=args.crash_rate,
                     stall_rate=args.stall_rate,
-                    timeout_rate=args.timeout_rate,
                     max_crashes=args.max_crashes,
                     restarts=args.restarts,
                 )
@@ -288,7 +283,6 @@ def _run(args: argparse.Namespace) -> int:
                 harness.run_failover(
                     ds,
                     ops=args.ops,
-                    workers=max(args.workers),
                     query_rate=args.query_rate,
                     seed=args.seed,
                     max_batch=max(1, args.batch // 16),
@@ -298,7 +292,6 @@ def _run(args: argparse.Namespace) -> int:
                     primary_crashes=args.primary_crashes,
                     crash_rate=args.crash_rate,
                     stall_rate=args.stall_rate,
-                    timeout_rate=args.timeout_rate,
                     max_crashes=args.max_crashes,
                 )
                 for ds in args.datasets
@@ -489,7 +482,6 @@ def _run(args: argparse.Namespace) -> int:
                     harness.run_traffic(
                         "uniform",  # overridden by the trace header
                         trace_path=path,
-                        workers=max(args.workers),
                         seed=args.seed,
                         verify_boundaries=not args.no_boundary_verify,
                     )
@@ -501,7 +493,6 @@ def _run(args: argparse.Namespace) -> int:
                         shape,
                         ops=args.traffic_ops,
                         vertices=args.traffic_vertices,
-                        workers=max(args.workers),
                         seed=args.seed,
                         verify_boundaries=not args.no_boundary_verify,
                     )

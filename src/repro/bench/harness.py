@@ -121,14 +121,12 @@ def run_remove_insert(
 def run_service(
     dataset: str,
     ops: int = 500,
-    workers: int = 4,
     query_rate: float = 0.25,
     seed: int = 0,
     max_batch: int = 64,
     max_delay: Optional[float] = 20_000.0,
     query_pressure: Optional[int] = 32,
     max_pending: Optional[int] = None,
-    schedule: str = "min-clock",
     check: bool = False,
 ) -> Dict[str, object]:
     """The ``service`` workload: drive the serving engine with an
@@ -151,8 +149,6 @@ def run_service(
             max_delay=max_delay,
             query_pressure=query_pressure,
             max_pending=max_pending,
-            num_workers=workers,
-            schedule=schedule,
             seed=seed,
         ),
     )
@@ -177,7 +173,6 @@ def run_service(
     )
     return {
         "dataset": dataset,
-        "workers": workers,
         "ops": len(trace),
         "wall_s": wall,
         "metrics": m,
@@ -188,28 +183,23 @@ def run_service(
 def run_chaos(
     dataset: str,
     ops: int = 400,
-    workers: int = 4,
     query_rate: float = 0.2,
     seed: int = 0,
     max_batch: int = 16,
     crash_rate: float = 0.01,
     stall_rate: float = 0.01,
-    timeout_rate: float = 0.01,
     max_crashes: Optional[int] = 8,
     checkpoint_every: int = 4,
     restarts: int = 2,
     verify_determinism: bool = True,
     check: bool = False,
-    backend: str = "direct",
 ) -> Dict[str, object]:
     """The ``chaos`` workload: the serving engine under a seeded fault
     schedule, with crash recovery and simulated process restarts, judged
     differentially against an uninterrupted run.
 
-    ``backend`` picks where faults land: ``"direct"`` (the serving
-    default) consults the plane once per edge — crashes and stalls;
-    ``"sim"`` injects at every worker event of the simulated machine,
-    acquire-timeouts included (``docs/faults.md``).
+    The direct kernel consults the plane once per edge, so the faults
+    are crashes and stalls (``docs/faults.md``).
 
     Three engines see the same trace: a **faulty** engine (fault plane
     armed, WAL journal, periodic checkpoints, retries sized above the
@@ -221,7 +211,7 @@ def run_chaos(
     stream runs, and at the end:
 
     * ``recovered_ok`` — the faulty engine's cores equal the clean
-      engine's on every vertex (the ISSUE's headline claim);
+      engine's on every vertex (the headline claim);
     * ``oracle_ok`` — both equal a from-scratch
       :func:`~repro.core.decomposition.core_decomposition` of the edge
       set reconstructed *from the journal alone*;
@@ -237,16 +227,15 @@ def run_chaos(
 
     spec = FaultSpec(
         crash_rate=crash_rate, stall_rate=stall_rate,
-        timeout_rate=timeout_rate, max_crashes=max_crashes,
+        max_crashes=max_crashes,
     )
     budget = max_crashes if max_crashes is not None else 64
     faulty_cfg = EngineConfig(
-        max_batch=max_batch, num_workers=workers, seed=seed,
+        max_batch=max_batch, seed=seed,
         faults=spec, checkpoint_every=checkpoint_every,
-        max_retries=budget + 1, backend=backend,
+        max_retries=budget + 1,
     )
-    clean_cfg = EngineConfig(max_batch=max_batch, num_workers=workers,
-                             seed=seed, backend=backend)
+    clean_cfg = EngineConfig(max_batch=max_batch, seed=seed)
     initial, trace = service_trace(dataset, ops, query_rate=query_rate, seed=seed)
 
     restart_every = len(trace) // (restarts + 1) if restarts else len(trace) + 1
@@ -319,12 +308,11 @@ def run_chaos(
     )
     return {
         "dataset": dataset,
-        "workers": workers,
         "ops": len(trace),
         "seed": seed,
         "spec": {
             "crash_rate": crash_rate, "stall_rate": stall_rate,
-            "timeout_rate": timeout_rate, "max_crashes": max_crashes,
+            "max_crashes": max_crashes,
         },
         "restarts": performed,
         "wall_s": wall,
@@ -353,7 +341,6 @@ def run_chaos(
 def run_failover(
     dataset: str,
     ops: int = 400,
-    workers: int = 4,
     query_rate: float = 0.25,
     seed: int = 0,
     max_batch: int = 8,
@@ -363,7 +350,6 @@ def run_failover(
     primary_crashes: int = 2,
     crash_rate: float = 0.0,
     stall_rate: float = 0.0,
-    timeout_rate: float = 0.0,
     max_crashes: Optional[int] = 4,
     checkpoint_every: int = 4,
     verify_determinism: bool = True,
@@ -386,7 +372,7 @@ def run_failover(
       prefix; :meth:`ReplicaSet.promote` raises otherwise) are timed and
       reported as RTO wall milliseconds plus catch-up record counts.
 
-    Engine-level worker faults (``crash_rate`` etc.) can ride along so
+    Engine-level faults (``crash_rate``, ``stall_rate``) can ride along so
     failover is exercised on journals containing aborted intents; the
     final state is additionally checked against a from-scratch
     decomposition of the journal's edge set, and (with
@@ -399,14 +385,14 @@ def run_failover(
     from repro.service.snapshots import QUERY_KINDS
 
     engine_faults = None
-    if crash_rate or stall_rate or timeout_rate:
+    if crash_rate or stall_rate:
         engine_faults = FaultSpec(
             crash_rate=crash_rate, stall_rate=stall_rate,
-            timeout_rate=timeout_rate, max_crashes=max_crashes,
+            max_crashes=max_crashes,
         )
     budget = max_crashes if max_crashes is not None else 64
     cfg = EngineConfig(
-        max_batch=max_batch, num_workers=workers, seed=seed,
+        max_batch=max_batch, seed=seed,
         faults=engine_faults, checkpoint_every=checkpoint_every,
         max_retries=budget + 1,
     )
@@ -562,7 +548,6 @@ def run_failover(
     }
     return {
         "dataset": dataset,
-        "workers": workers,
         "ops": len(trace),
         "seed": seed,
         "replicas": replicas,
@@ -797,7 +782,7 @@ def run_sharding(
     * a :class:`~repro.service.sharding.ShardedEngine` on the process
       backend with ``shards`` OS-process workers,
 
-    both with the same total worker budget.  Wall-clock is best of
+    Wall-clock is best of
     ``repeats`` (the box is noisy; min is the stable statistic).  Every
     repeat also checks the stitched core map is **bit-identical** to the
     single engine's — the differential guarantee the speedup must not
@@ -833,8 +818,7 @@ def run_sharding(
     identical = True
     for _ in range(repeats):
         t0 = time.perf_counter()
-        mono = Engine(DynamicGraph(),
-                      EngineConfig(backend="direct", num_workers=shards))
+        mono = Engine(DynamicGraph())
         for op, u, v in trace:
             getattr(mono, op)(u, v)
         mono.flush()
@@ -845,8 +829,7 @@ def run_sharding(
         t0 = time.perf_counter()
         sharded = ShardedEngine(
             DynamicGraph(),
-            EngineConfig(backend="process", shards=shards,
-                         num_workers=shards),
+            EngineConfig(backend="process", shards=shards),
         )
         for op, u, v in trace:
             getattr(sharded, op)(u, v)
@@ -868,8 +851,8 @@ def run_sharding(
                 base = os.path.join(tmp, f"{point}-{txseq}")
                 eng = ShardedEngine(
                     DynamicGraph(),
-                    EngineConfig(backend="sim", shards=shards,
-                                 journal_path=base, cross_group=4),
+                    EngineConfig(shards=shards, journal_path=base,
+                                 cross_group=4),
                     crash_2pc={point: txseq},
                 )
                 crashed = False
@@ -883,7 +866,7 @@ def run_sharding(
                 if not crashed:
                     eng.close()
                 rec = ShardedEngine.from_journals(
-                    base, EngineConfig(backend="sim", shards=shards)
+                    base, EngineConfig(shards=shards)
                 )
                 got = rec.cores()
                 union = set()
@@ -891,10 +874,7 @@ def run_sharding(
                     for u, v in sh.edges():
                         union.add(canonical_edge(u, v))
                 rec.close()
-                oracle = Engine(
-                    DynamicGraph(sorted(union, key=repr)),
-                    EngineConfig(backend="sim"),
-                )
+                oracle = Engine(DynamicGraph(sorted(union, key=repr)))
                 fresh = dict(oracle.maintainer.cores())
                 oracle.close()
                 recoveries[f"{point}@tx{txseq}"] = {
@@ -988,7 +968,6 @@ def run_queryplane(
     readers: Sequence[int] = (1, 2, 4),
     frame: int = 512,
     seed: int = 0,
-    workers: int = 1,
     repeats: int = 2,
     recovery: bool = True,
 ) -> Dict[str, object]:
@@ -1042,9 +1021,9 @@ def run_queryplane(
 
     # ----- baseline: every query enters the engine loop ---------------
     # both legs apply the identical update trace through an identical
-    # engine (``workers`` simulated maintainer workers) — only the read
-    # path differs, so the update cost cancels out of the comparison
-    eng = Engine(DynamicGraph(initial), EngineConfig(num_workers=workers))
+    # engine — only the read path differs, so the update cost cancels
+    # out of the comparison
+    eng = Engine(DynamicGraph(initial))
     # The trace is phased: an (untimed) update burst commits fresh
     # epochs, then a timed query burst serves against them.  Epochs
     # churn across the whole run exactly like the interleaved mix, but
@@ -1100,7 +1079,7 @@ def run_queryplane(
     pool_cells: Dict[int, Dict[str, float]] = {}
     identical = base_ok
     for n in readers:
-        eng = Engine(DynamicGraph(initial), EngineConfig(num_workers=workers))
+        eng = Engine(DynamicGraph(initial))
         publisher = eng.enable_queryplane()
         nsamples = 0
         state = [0]
@@ -1464,8 +1443,7 @@ def fig7_stability(
 # ----------------------------------------------------------------------
 # traffic: sliding-window SLO attainment per shape (docs/traffic.md)
 # ----------------------------------------------------------------------
-def traffic_profile(shape: str, *, workers: int = 4, seed: int = 0,
-                    backend: str = "direct") -> Dict[str, object]:
+def traffic_profile(shape: str, *, seed: int = 0) -> Dict[str, object]:
     """The bench's per-shape engine profile.  The three in-capacity
     shapes run unbounded admission with time-based cuts; ``overload``
     squeezes the ingress queue (backpressure → ``rejected``) and arms a
@@ -1474,8 +1452,6 @@ def traffic_profile(shape: str, *, workers: int = 4, seed: int = 0,
     prof: Dict[str, object] = {
         "max_batch": 16,
         "max_delay": 256.0,
-        "num_workers": workers,
-        "backend": backend,
         "seed": seed,
     }
     if shape == "overload":
@@ -1498,8 +1474,6 @@ def run_traffic(
     rate: Optional[float] = None,
     query_mix: float = 0.2,
     seed: int = 0,
-    workers: int = 4,
-    backend: str = "direct",
     trace_path: Optional[str] = None,
     verify_boundaries: bool = True,
     boundary_limit: Optional[int] = 8,
@@ -1532,8 +1506,7 @@ def run_traffic(
     legs = []
     for _ in range(2):
         eng = Engine(DynamicGraph(),
-                     **traffic_profile(shape, workers=workers, seed=seed,
-                                       backend=backend))
+                     **traffic_profile(shape, seed=seed))
         legs.append(replay(eng, trace, mode="model"))
     a, b = legs
     determinism_ok = (
@@ -1549,8 +1522,7 @@ def run_traffic(
         # they always run lossless (unbounded admission, no deadlines, no
         # faults) even for the overload shape, whose squeeze belongs to
         # the SLO legs above
-        vprof = traffic_profile("uniform", workers=workers, seed=seed,
-                                backend=backend)
+        vprof = traffic_profile("uniform", seed=seed)
         weng = Engine(DynamicGraph(), window=trace.header.window, **vprof)
         wrep = replay(weng, trace, mode="engine", slo={"update": None,
                                                        "query": None},

@@ -145,7 +145,7 @@ def render_service_metrics(metrics: Mapping, max_epochs: int = 8) -> str:
     folded batch-report totals, and the head of the per-epoch commit
     log."""
     c = metrics["counters"]
-    unit = metrics.get("clock_unit", "sim")
+    unit = metrics["clock_unit"]
     lines = [
         f"service clock {metrics['now']:.0f} ({unit} units)  "
         f"epochs {metrics['epoch']}",
@@ -177,9 +177,7 @@ def render_service_metrics(metrics: Mapping, max_epochs: int = 8) -> str:
     sim = metrics["sim"]
     lines.append(
         f"sim: batches={sim['batches']} makespan={sim['makespan']:.0f} "
-        f"work={sim['total_work']:.0f} spin={sim['spin_time']:.0f} "
-        f"contended={sim['contended_time']:.0f} "
-        f"locks={sim['lock_acquires']}/{sim['lock_failures']} (ok/failed)"
+        f"work={sim['total_work']:.0f} spin={sim['spin_time']:.0f}"
     )
     flt = metrics.get("faults")
     if flt and any(flt.values()):
@@ -216,13 +214,11 @@ def render_chaos(cell: Mapping) -> str:
         (
             f"{cell['dataset']}: {cell['ops']} ops, seed {cell['seed']}, "
             f"{cell['restarts']} restart(s), "
-            f"crash/stall/timeout rates "
-            f"{spec['crash_rate']}/{spec['stall_rate']}/{spec['timeout_rate']}"
+            f"crash/stall rates {spec['crash_rate']}/{spec['stall_rate']}"
             f" (budget {spec['max_crashes']})"
         ),
         (
-            f"injected: crashes={f['crashes']} stalls={f['stalls_injected']} "
-            f"timeouts={f['timeouts_injected']} orphaned={f['locks_orphaned']}"
+            f"injected: crashes={f['crashes']} stalls={f['stalls_injected']}"
             f"  crashed_batches={f['crashed_batches']} "
             f"recoveries={f['recoveries']} retries={f['retries']}"
         ),

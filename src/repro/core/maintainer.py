@@ -237,7 +237,7 @@ class OrderMaintainer(OrderFacade):
 
 #: the direct kernel's service-time charge, in cost-model work units, per
 #: edge and per vertex it searched (``V+``) or moved (``V*``).  Calibrated
-#: so a serving workload keeps the time-cut cadence it has on the
+#: so a serving workload keeps the time-cut cadence it had on the
 #: simulated 4-worker machine (``docs/service.md``, "Time").
 DIRECT_UNIT = 16.0
 
@@ -249,13 +249,11 @@ class DirectReport:
     fold reads.  ``makespan`` is the deterministic charge
     ``DIRECT_UNIT * (1 + |V+| + |V*|)`` summed over the applied edges,
     plus injected stall time (also counted in ``spin_time``).  There are
-    no locks, so the lock counters stay 0."""
+    no locks, so ``lock_failures`` stays 0."""
 
     makespan: float = 0.0
     total_work: float = 0.0
     spin_time: float = 0.0
-    contended_time: float = 0.0
-    lock_acquires: int = 0
     lock_failures: int = 0
     crashes: int = 0
     stalls_injected: int = 0
@@ -263,13 +261,10 @@ class DirectReport:
 
 class SerialPolicy:
     """The direct kernel's schedule: every edge in arrival order on one
-    worker.  It keeps the configured policy's name so a backend switch
-    does not change what the engine reports; :meth:`plan` exists for
-    callers that inspect schedules and is never called on the batch
-    path."""
+    worker.  :meth:`plan` exists for callers that inspect schedules and
+    is never called on the batch path."""
 
-    def __init__(self, name: str = "fifo") -> None:
-        self.name = name
+    name = "fifo"
 
     def plan(self, edges, workers, *, state=None, costs=None, seed=0):
         from repro.parallel.scheduling import Schedule
@@ -278,40 +273,31 @@ class SerialPolicy:
 
 
 class DirectOrderMaintainer(OrderFacade):
-    """The serving engine's default kernel: each homogeneous batch is
-    applied edge by edge with the sequential OI/OR on one
-    :class:`OrderState`.
+    """The serving engine's kernel: each homogeneous batch is applied
+    edge by edge with the sequential OI/OR on one :class:`OrderState`.
 
     Cores are a function of the edge set, so they equal what the
     simulated OurI/OurR computes; the OM order may break ties
     differently, which is why every replica and restart of an engine
-    uses the same backend.  The constructor takes the simulated
-    maintainer's keyword set so the engine builds either through one
-    call; ``num_workers``, ``costs``, ``schedule`` and ``seed`` only
-    shape the simulated machine and are ignored here.
+    builds this same maintainer.
 
     ``faults`` (a :class:`~repro.faults.FaultPlane`) is consulted once
     per edge, before the edge is applied: a crash raises
     :class:`~repro.faults.BatchCrashed` with the batch half applied (the
     engine rebuilds from its journal), a stall charges
     ``stall_ticks * DIRECT_UNIT`` to the batch.  Acquire-timeouts need
-    locks and stay on the simulated backend.
+    locks and exist only on the simulated kernel.
     """
 
     def __init__(
         self,
         graph: DynamicGraph,
-        num_workers: int = 4,
-        costs=None,
-        schedule: str = "min-clock",
-        seed: int = 0,
         strategy: str = "small-degree-first",
         capacity: int = 64,
-        policy="fifo",
         faults=None,
     ) -> None:
         super().__init__(graph, strategy=strategy, capacity=capacity)
-        self.policy = policy if hasattr(policy, "plan") else SerialPolicy(policy)
+        self.policy = SerialPolicy()
         self.faults = faults
 
     def insert_edges(self, edges: Sequence[Edge]) -> BatchResult:

@@ -1,21 +1,20 @@
 """True-parallel process backend: shard workers in real OS processes.
 
-The ``direct`` and ``sim`` backends host every shard engine inside the
-router's process.  This module is the third backend of
+The ``direct`` backend hosts every shard engine inside the router's
+process.  This module is the other backend of
 :class:`~repro.service.sharding.ShardedEngine`: each shard engine runs in
 its **own OS process** (forked worker, one duplex pipe), so shards
 execute with no shared interpreter state and no GIL coupling — the
-shared-nothing scale-out the ISSUE's speedup acceptance measures.
+shared-nothing scale-out that ``repro.bench sharding`` measures.
 
 Protocol
 --------
 The router speaks length-one request/reply frames over a
 ``multiprocessing.Pipe``: ``(op, *args)`` in, ``("ok", payload)`` or
-``("err", repr)`` back.  Workers host a *direct*
-:class:`~repro.service.engine.Engine` (the worker process already
-provides isolation, and the direct kernel's deterministic service clock
-keeps process-mode latencies and deadlines in the same units, and as
-reproducible, as in-process shards) and keep the same surface
+``("err", repr)`` back.  Workers host the same direct
+:class:`~repro.service.engine.Engine` as in-process shards (so
+process-mode latencies and deadlines are in the same cost units, and as
+reproducible) and keep the same surface
 as :class:`~repro.service.sharding.LocalShard`, so the router is
 backend-agnostic.
 

@@ -5,9 +5,9 @@ A :class:`FollowerEngine` is the replica-side half of WAL shipping: it
 :class:`~repro.replication.shipper.JournalShipper`), keeps them in its
 own local copy of the log, and **replays** them continuously into a
 private maintainer + :class:`~repro.service.snapshots.SnapshotStore`
-pair.  The maintainer class comes from the same place as the primary's
-(``Engine._maintainer_cls`` of the shared config), so both break OM-order
-ties identically.  It then serves
+pair.  The maintainer is the primary's
+:class:`~repro.core.maintainer.DirectOrderMaintainer`, so both break
+OM-order ties identically.  It then serves
 the exact snapshot query plane of the primary
 (:data:`~repro.service.snapshots.QUERY_KINDS`) — same kinds, same
 answers — with two extra staleness fields stamped into every response
@@ -41,8 +41,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.core.maintainer import DirectOrderMaintainer
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.service.engine import Engine, EngineConfig, apply_batch
+from repro.service.engine import EngineConfig, apply_batch
 from repro.service.journal import (
     REC_CHECKPOINT,
     REC_COMMIT,
@@ -74,10 +75,9 @@ class FollowerEngine:
         Small integer naming this replica in metrics and promote
         records.
     config:
-        :class:`EngineConfig` whose maintainer knobs (``num_workers``,
-        ``costs``, ``schedule``, ``seed``, ``policy``, ``query_cost``)
-        the replica mirrors, so a promoted follower rebuilds exactly the
-        engine the primary ran.
+        :class:`EngineConfig` the replica mirrors (``query_cost`` and the
+        promoted engine's knobs), so a promoted follower rebuilds exactly
+        the engine the primary ran.
         Fault injection is never armed on a follower — replay applies
         already-committed work.
     """
@@ -94,7 +94,6 @@ class FollowerEngine:
         self.records: List[Dict] = []
         #: how many of ``records`` have been replayed into the maintainer
         self.applied = 0
-        self._maintainer_cls = Engine._maintainer_cls(cfg)
         self.maintainer = None
         self.snapshots: Optional[SnapshotStore] = None
         self._pending: Optional[Dict] = None
@@ -102,8 +101,7 @@ class FollowerEngine:
         self.generation = 0
         self.promotions_seen = 0
         self.aborted_intents = 0
-        #: service time (``clock_unit`` of the config's backend) charged
-        #: by replayed batches
+        #: service time (cost units) charged by replayed batches
         self.replay_makespan = 0.0
         self.queries_served = 0
         self._qseq = 0
@@ -184,11 +182,10 @@ class FollowerEngine:
             # at every checkpoint is what keeps the follower's state
             # after record i bit-identical to a cold restart of the
             # first i records — the promotion safety property.
-            m = self._maintainer_cls.from_checkpoint(
+            m = DirectOrderMaintainer.from_checkpoint(
                 DynamicGraph([(u, v) for u, v in rec["edges"]]),
                 {u: k for u, k in rec["cores"]},
                 list(rec["order"]),
-                **Engine.maintainer_kwargs(self.config),
             )
             if self.maintainer is None:
                 # mid-stream attach: the first record a late-joining
@@ -226,10 +223,7 @@ class FollowerEngine:
         self.snapshots.publish_to(self._queryplane)
 
     def _boot(self, graph: DynamicGraph, epoch0: int) -> None:
-        self._adopt(
-            self._maintainer_cls(graph, **Engine.maintainer_kwargs(self.config)),
-            epoch0=epoch0,
-        )
+        self._adopt(DirectOrderMaintainer(graph), epoch0=epoch0)
 
     def _adopt(self, m, epoch0: int) -> None:
         self.maintainer = m

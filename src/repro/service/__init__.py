@@ -4,8 +4,8 @@ The library's batch algorithms answer "apply ΔE with P workers"; this
 package answers "serve an interleaved stream of updates and queries":
 
 * :class:`Engine` / :class:`EngineConfig` — the serving engine: adaptive
-  micro-batching over OurI/OurR, snapshot-isolated reads, admission
-  control, structured partial-failure reporting, metrics;
+  micro-batching over the sequential OI/OR, snapshot-isolated reads,
+  admission control, structured partial-failure reporting, metrics;
 * :class:`PendingOps` / :class:`AdaptiveBatcher` — the coalescing /
   cancellation run buffer plus the size/time/pressure cut policy;
 * :class:`SnapshotStore` / :class:`SnapshotView` — epoch-versioned core
@@ -14,7 +14,7 @@ package answers "serve an interleaved stream of updates and queries":
 * :class:`Request` / :class:`Response` — the request envelope and
   structured results;
 * :class:`ServiceMetrics` — counters, queue depths, per-epoch latency
-  percentiles and folded simulation reports;
+  percentiles and folded batch reports;
 * :class:`EdgeJournal` — the write-ahead edge journal + checkpoint
   records behind crash recovery and ``Engine.from_journal`` (see
   ``docs/faults.md``);

@@ -13,7 +13,7 @@ must be cut first.
 of the engine's micro-batcher.  A run is cut when any of:
 
 * **size** — the run reached ``max_batch`` operations;
-* **time** — ``max_delay`` simulated time units elapsed since the run's
+* **time** — ``max_delay`` service-clock units elapsed since the run's
   first operation was queued (bounds update latency);
 * **pressure** — ``query_pressure`` queries were answered since the last
   commit (bounds snapshot *staleness*: readers never block, so the only
@@ -115,7 +115,7 @@ class AdaptiveBatcher:
     max_batch:
         Cut when the run reaches this many operations (>= 1).
     max_delay:
-        Cut when this much simulated time passed since the run's first
+        Cut when this much service-clock time passed since the run's first
         operation (``None`` disables the time trigger).
     query_pressure:
         Cut when this many queries were answered since the last commit

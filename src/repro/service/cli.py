@@ -3,7 +3,7 @@
 Runs an interleaved insert/remove/query trace through
 :class:`repro.service.Engine` and prints the metrics surface::
 
-    repro-serve --dataset BA --ops 1000 --query-rate 0.3 --workers 8
+    repro-serve --dataset BA --ops 1000 --query-rate 0.3
     repro-serve --edge-list graph.txt --ops 500 --max-batch 128 --json
     repro-serve --trace examples/traces/uniform.jsonl --trace-mode engine
 
@@ -53,7 +53,6 @@ def _parser() -> argparse.ArgumentParser:
                      "strict — a malformed trace exits 2")
     p.add_argument("--ops", type=int, default=1000, help="trace length")
     p.add_argument("--query-rate", type=float, default=0.25)
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--max-batch", type=int, default=64,
                    help="micro-batch size cut threshold")
     p.add_argument("--max-delay", type=float, default=20_000.0,
@@ -65,20 +64,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pending", type=int, default=0,
                    help="ingress queue bound; overflow is rejected "
                    "(0 = unbounded)")
-    p.add_argument("--schedule", choices=("min-clock", "random"),
-                   default="min-clock")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--crash-rate", type=float, default=0.0,
-                   help="fault injection: crash probability per edge "
-                   "(direct) or per worker event (sim); 0 disables the "
-                   "fault plane")
+                   help="fault injection: crash probability per edge; "
+                   "0 disables the fault plane")
     p.add_argument("--stall-rate", type=float, default=0.0,
-                   help="fault injection: stall probability per edge "
-                   "(direct) or per worker event (sim)")
-    p.add_argument("--timeout-rate", type=float, default=0.0,
-                   help="fault injection: per-try acquire-timeout "
-                   "probability (sim only: the direct kernel takes no "
-                   "locks)")
+                   help="fault injection: stall probability per edge")
     p.add_argument("--max-crashes", type=int, default=8,
                    help="fault injection: total crash budget")
     p.add_argument("--max-retries", type=int, default=16,
@@ -98,11 +89,9 @@ def _parser() -> argparse.ArgumentParser:
                       help="engine shards behind the router (1 = the "
                       "classic monolithic engine, the default)")
     shrd.add_argument("--backend", choices=BACKENDS, default="direct",
-                      help="batch-loop substrate: 'direct' (sequential "
-                      "OI/OR, the default), 'sim' (OurI/OurR on the "
-                      "simulated machine, the paper-reproduction "
-                      "backend), 'process' (each shard engine in its own "
-                      "OS process; requires --shards >= 2)")
+                      help="shard substrate: 'direct' (in this process, "
+                      "the default) or 'process' (each shard engine in "
+                      "its own OS process; requires --shards >= 2)")
     qp = p.add_argument_group("wait-free query plane (docs/queryplane.md)")
     qp.add_argument("--readers", type=int, default=0,
                     help="OS reader processes answering queries from the "
@@ -187,13 +176,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         ingest = None
 
     faults = None
-    if args.crash_rate or args.stall_rate or args.timeout_rate:
+    if args.crash_rate or args.stall_rate:
         from repro.faults.plane import FaultSpec
 
         faults = FaultSpec(
             crash_rate=args.crash_rate,
             stall_rate=args.stall_rate,
-            timeout_rate=args.timeout_rate,
             max_crashes=args.max_crashes or None,
         )
     # sharding/backend validation (exit 2 = config error, docs/sharding.md)
@@ -203,7 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.backend == "process" and args.shards < 2:
         print("--backend process hosts each shard engine in its own OS "
               "process; it requires --shards >= 2 (use --backend direct "
-              "or sim for a monolithic engine)", file=sys.stderr)
+              "for a monolithic engine)", file=sys.stderr)
         return 2
     if args.readers < 0:
         print("--readers must be >= 0", file=sys.stderr)
@@ -246,10 +234,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         max_delay=args.max_delay or None,
         query_pressure=args.query_pressure or None,
         max_pending=args.max_pending or None,
-        num_workers=args.workers,
         backend=args.backend,
         shards=args.shards,
-        schedule=args.schedule,
         seed=args.seed,
         faults=faults,
         journal_path=None if args.recover_from else args.journal,

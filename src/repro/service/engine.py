@@ -7,11 +7,11 @@ an interleaved stream of ``insert`` / ``remove`` / ``query`` requests
 1. **Homogeneous micro-batches.**  Updates accumulate in an adaptive
    micro-batcher (:mod:`repro.service.batcher`) and are applied when a
    cut policy fires (size, elapsed service time, query pressure, a kind
-   conflict, or an explicit flush) — by default through
-   :class:`~repro.core.maintainer.DirectOrderMaintainer`, the paper's
-   sequential OI/OR (``backend="direct"``), or through the simulated
-   parallel OurI/OurR (``backend="sim"``,
-   :class:`~repro.parallel.batch.ParallelOrderMaintainer`).
+   conflict, or an explicit flush) — through
+   :class:`~repro.core.maintainer.DirectOrderMaintainer`, the sequential
+   order-based OI/OR.  The simulated parallel OurI/OurR
+   (:class:`~repro.parallel.batch.ParallelOrderMaintainer`) reproduces
+   the paper's experiments and is not a serving backend.
 
 2. **Snapshot-isolated reads.**  Queries never touch the live maintainer
    state: they answer against the last committed epoch through
@@ -25,13 +25,11 @@ an interleaved stream of ``insert`` / ``remove`` / ``query`` requests
    produce ``timed_out`` responses — a partial-failure report per batch —
    instead of raising.
 
-Time is a deterministic service clock in cost-model work units (see
-:mod:`repro.parallel.costs`): it advances by a small ingest/query cost
-per request and, at commit, by each batch's charge — the direct
-kernel's ``DIRECT_UNIT * (1 + |V+| + |V*|)`` per edge, or the simulated
-machine's makespan on ``sim``.  That is what makes latency percentiles
-and deadline semantics deterministic and testable; ``metrics()`` names
-the unit in ``clock_unit``.
+Time is a deterministic service clock in cost units: it advances by a
+small ingest/query cost per request and, at commit, by each batch's
+charge — the direct kernel's ``DIRECT_UNIT * (1 + |V+| + |V*|)`` per
+edge.  That is what makes latency percentiles and deadline semantics
+deterministic and testable; ``metrics()["clock_unit"]`` is ``"cost"``.
 
 >>> from repro.graph.dynamic_graph import DynamicGraph
 >>> from repro.service import Engine
@@ -58,7 +56,6 @@ from typing import (
 from repro.core.maintainer import DirectOrderMaintainer, validate_batch
 from repro.faults.plane import BatchCrashed, as_plane
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.parallel.costs import CostModel
 from repro.service.batcher import (
     CANCEL,
     COALESCE,
@@ -93,14 +90,10 @@ from repro.service.snapshots import SnapshotStore, SnapshotView, answer_query
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
 
-__all__ = ["Engine", "EngineConfig", "BACKENDS", "CLOCK_UNITS"]
+__all__ = ["Engine", "EngineConfig", "BACKENDS"]
 
-#: the batch-loop backends ``EngineConfig.backend`` accepts, each with
-#: the unit its service clock runs in (``metrics()["clock_unit"]``): cost-
-#: model work units charged by the direct kernel (``process`` shards host
-#: direct engines), or makespans of the simulated machine
-CLOCK_UNITS = {"direct": "cost", "sim": "sim", "process": "cost"}
-BACKENDS = tuple(CLOCK_UNITS)
+#: where ``EngineConfig.backend`` may host shard engines
+BACKENDS = ("direct", "process")
 
 
 @dataclass(frozen=True)
@@ -121,10 +114,6 @@ class EngineConfig:
     graph+cores+order checkpoint record every N epochs; a crashed batch
     is retried up to ``max_retries`` times after recovery, each retry
     preceded by a ``retry_backoff * 2**(attempt-1)`` service-clock delay.
-
-    The remaining fields are forwarded to the backend's maintainer;
-    ``costs``, ``schedule`` and ``policy`` only shape the simulated
-    machine (``backend="sim"``).
     """
 
     max_batch: int = 512
@@ -133,12 +122,10 @@ class EngineConfig:
     max_pending: Optional[int] = None
     ingest_cost: float = 1.0
     query_cost: float = 5.0
-    num_workers: int = 4
-    #: how the batch loop executes: ``"direct"`` (sequential OI/OR, the
-    #: serving default), ``"sim"`` (OurI/OurR on the simulated machine —
-    #: the paper-reproduction backend), or ``"process"`` (shard workers
-    #: in real OS processes, each hosting a direct engine — requires the
-    #: sharded engine, :mod:`repro.service.sharding`)
+    #: where shard engines run: ``"direct"`` (in this process, the
+    #: default) or ``"process"`` (shard workers in real OS processes,
+    #: each hosting a direct engine — requires the sharded engine,
+    #: :mod:`repro.service.sharding`)
     backend: str = "direct"
     #: number of engine shards (1 = the classic monolithic engine;
     #: >1 routes through :class:`~repro.service.sharding.ShardedEngine`)
@@ -148,12 +135,8 @@ class EngineConfig:
     #: (None = ``4 * max_batch``; the distributed commit amortizes its
     #: per-round cost over a larger run than the in-engine micro-batch)
     cross_group: Optional[int] = None
-    costs: Optional[CostModel] = None
-    schedule: str = "min-clock"
+    #: seed of the fault plane built from a :class:`~repro.faults.FaultSpec`
     seed: int = 0
-    #: batch scheduling policy name or instance
-    #: (:data:`repro.parallel.scheduling.POLICIES`)
-    policy: Any = "fifo"
     #: fault-injection plane (None = no injection, the default)
     faults: Any = None
     #: persist the write-ahead journal to this file (None = in-memory)
@@ -187,7 +170,7 @@ class EngineConfig:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
-                "(use 'direct', 'sim' or 'process')"
+                "(use 'direct' or 'process')"
             )
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
@@ -263,18 +246,20 @@ class Engine:
         if overrides:
             cfg = replace(cfg, **overrides)
         self.config = cfg
+        if cfg.backend == "process":
+            raise ValueError(
+                "backend 'process' runs shard workers in OS processes — "
+                "construct a repro.service.sharding.ShardedEngine instead"
+            )
         # The engine owns the plane (not the maintainer): its per-run
         # counter must survive maintainer rebuilds during recovery, or
         # the fault schedule would restart and re-kill every retry.
         self.faults = as_plane(cfg.faults, seed=cfg.seed)
-        self._crash_errors = self._crash_types(cfg)
         if _maintainer is not None:
             self.maintainer = _maintainer
             self.maintainer.faults = self.faults
         else:
-            self.maintainer = self._maintainer_cls(cfg)(
-                graph, faults=self.faults, **self.maintainer_kwargs(cfg)
-            )
+            self.maintainer = DirectOrderMaintainer(graph, faults=self.faults)
         self.snapshots = SnapshotStore(self.maintainer, epoch0=_epoch0)
         #: cross-shard edges this engine co-owns but does NOT maintain:
         #: the coordinator shard (owner of the canonical first endpoint)
@@ -298,9 +283,10 @@ class Engine:
         self.now: float = 0.0
         #: event (arrival) clock — advanced only by :meth:`advance_to`.
         #: Distinct from the *service* clock ``now`` (which also counts
-        #: ingest/query costs and batch makespans, and therefore differs
-        #: across backends): expiry due-times live on the event clock so
-        #: a trace replays to the same windowed graph on every backend.
+        #: ingest/query costs and batch makespans, and therefore depends
+        #: on how ops are batched): expiry due-times live on the event
+        #: clock so a trace replays to the same windowed graph however
+        #: it is batched.
         self.event_now: float = 0.0
         # sliding-window expiry plane (config.window): a due-time heap
         # over committed-present edges.  _expiry_due is the authority —
@@ -583,7 +569,6 @@ class Engine:
         return self.metrics_collector.as_dict(
             pending_depth=len(self.batcher), now=self.now, epoch=self.epoch,
             event_now=self.event_now, window_armed=self.expiries_armed(),
-            clock_unit=CLOCK_UNITS[self.config.backend],
         )
 
     def check(self) -> None:
@@ -769,7 +754,7 @@ class Engine:
             try:
                 result = apply_batch(self.maintainer, kind, batch)
                 break
-            except self._crash_errors as exc:
+            except BatchCrashed as exc:
                 attempt += 1
                 if not self._recover_for_retry(exc, attempt):
                     self._fail_live(kind, live, STATUS_ABANDONED, make_error(
@@ -836,7 +821,7 @@ class Engine:
                 self._finish_async(tr, status, error=error)
         self._requeue_window(kind, live)
 
-    def _recover_for_retry(self, exc: Exception, attempt: int) -> bool:
+    def _recover_for_retry(self, exc: BatchCrashed, attempt: int) -> bool:
         """Crash bookkeeping for failed attempt number ``attempt``: count
         it, fold the doomed attempt's report, rebuild the maintainer
         from the journal, and — if the retry budget allows another
@@ -845,12 +830,12 @@ class Engine:
             raise exc  # a real protocol bug, not an injected fault
         m = self.metrics_collector
         m.faults["crashed_batches"] += 1
-        rep = getattr(exc, "report", None)
+        rep = exc.report
         if rep is not None:
             # the doomed attempt still burned service time and its
             # injections must show up in the totals
             m.fold_faults(rep)
-            self.now += getattr(rep, "makespan", 0.0)
+            self.now += rep.makespan
         self._recover()
         if attempt > self.config.max_retries:
             return False
@@ -881,66 +866,18 @@ class Engine:
         )
 
     @staticmethod
-    def _maintainer_cls(cfg: EngineConfig):
-        """The batch-loop backend class for ``cfg.backend``.  Every
-        maintainer of one engine lineage — the live one, crash-recovery
-        rebuilds, restarts and replication followers — comes from here,
-        so they all break OM-order ties the same way.
-
-        ``"process"`` has no in-engine maintainer: shard workers each
-        host a direct engine in their own OS process
-        (:mod:`repro.parallel.procs`), so constructing a monolithic
-        engine with it is a config error the sharded router prevents.
-        The simulated machine is imported only when ``"sim"`` asks for
-        it.
-        """
-        if cfg.backend == "process":
-            raise ValueError(
-                "backend 'process' runs shard workers in OS processes — "
-                "construct a repro.service.sharding.ShardedEngine instead"
-            )
-        if cfg.backend == "sim":
-            from repro.parallel.batch import ParallelOrderMaintainer
-
-            return ParallelOrderMaintainer
-        return DirectOrderMaintainer
-
-    @staticmethod
-    def _crash_types(cfg: EngineConfig) -> tuple:
-        """Exceptions a batch attempt may die of and be recovered from:
-        an injected crash on every backend, plus a livelock the
-        simulated machine detects on ``sim``."""
-        if cfg.backend == "sim":
-            from repro.parallel.runtime import SimDeadlockError
-
-            return (BatchCrashed, SimDeadlockError)
-        return (BatchCrashed,)
-
-    @staticmethod
-    def maintainer_kwargs(cfg: EngineConfig) -> Dict[str, Any]:
-        """The maintainer knobs ``cfg`` forwards to its backend."""
-        return dict(
-            num_workers=cfg.num_workers, costs=cfg.costs,
-            schedule=cfg.schedule, seed=cfg.seed, policy=cfg.policy,
-        )
-
-    @classmethod
-    def _base_maintainer(cls, replay: Replay, cfg: EngineConfig) -> Tuple[Any, int]:
+    def _base_maintainer(replay: Replay) -> Tuple[DirectOrderMaintainer, int]:
         """A *clean* (fault-free) maintainer at the replay's starting
         point: the latest checkpoint if there is one, else the initial
         graph.  Returns it with the epoch it represents."""
-        kw = cls.maintainer_kwargs(cfg)
-        mcls = cls._maintainer_cls(cfg)
         ck = replay.checkpoint
         if ck is not None:
-            m = mcls.from_checkpoint(
-                DynamicGraph(list(ck.edges)), dict(ck.cores),
-                list(ck.order), **kw,
+            m = DirectOrderMaintainer.from_checkpoint(
+                DynamicGraph(list(ck.edges)), dict(ck.cores), list(ck.order)
             )
             return m, ck.epoch
-        return mcls(
-            DynamicGraph(list(replay.initial_edges)), **kw
-        ), 0
+        graph = DynamicGraph(list(replay.initial_edges))
+        return DirectOrderMaintainer(graph), 0
 
     def _recover(self) -> None:
         """Discard the (presumed corrupt) maintainer and rebuild the last
@@ -948,7 +885,7 @@ class Engine:
         clean replay of every later committed batch.  The epoch ledger is
         untouched — recovery never invents or loses an epoch."""
         replay = self.journal.replay()
-        m, start = self._base_maintainer(replay, self.config)
+        m, start = self._base_maintainer(replay)
         _replay_committed(m, replay, start)
         self.snapshots.rebind(m)
         # re-arm only after the clean rebuild: the plane must not inject
@@ -993,7 +930,7 @@ class Engine:
         if overrides:
             cfg = replace(cfg, **overrides)
         replay = journal.replay()
-        m, epoch0 = cls._base_maintainer(replay, cfg)
+        m, epoch0 = cls._base_maintainer(replay)
         eng = cls(DynamicGraph(), cfg, journal=journal,
                   _maintainer=m, _epoch0=epoch0)
         m.faults = None  # replay must be fault-free
@@ -1109,7 +1046,7 @@ class Engine:
                 try:
                     result = apply_batch(self.maintainer, kind, batch)
                     break
-                except self._crash_errors as exc:
+                except BatchCrashed as exc:
                     attempt += 1
                     if not self._recover_for_retry(exc, attempt):
                         # a decided transaction cannot be abandoned; this

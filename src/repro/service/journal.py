@@ -1,19 +1,19 @@
 """Write-ahead edge journal + checkpoint/replay for the serving engine.
 
 The engine's durability story (``docs/faults.md``) is the classic
-WAL + checkpoint pair, scaled down to the reproduction's simulated
-serving plane:
+WAL + checkpoint pair, scaled down to the reproduction's serving
+plane:
 
 * every micro-batch writes an **intent** record *before* touching the
   maintainer, and a **commit** record only after the batch applied and
   its epoch was published to the snapshot store;
 * an intent with no matching commit is an *aborted attempt* — the batch
-  crashed mid-application (``BatchCrashed`` / a simulated deadlock) and
+  crashed mid-application (``BatchCrashed``) and
   its partial effects were discarded — so replay skips it;
 * a periodic **checkpoint** record stores the committed graph, its core
   numbers and the *full OM order* so recovery can rebuild the
   maintainer bit-identically via
-  :meth:`~repro.parallel.batch.ParallelOrderMaintainer.from_checkpoint`
+  :meth:`~repro.core.maintainer.OrderFacade.from_checkpoint`
   without replaying history from the initial graph;
 * a **promote** record marks a replication failover: the journal up to
   that point is the committed prefix a follower replayed before taking
@@ -78,6 +78,20 @@ _KINDS = (REC_INIT, REC_INTENT, REC_COMMIT, REC_CHECKPOINT, REC_PROMOTE,
 def _canon(record: Dict) -> str:
     """One canonical JSON line (sorted keys, minimal separators)."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _parse(data: bytes) -> Tuple[List[Dict], int]:
+    """The records of JSONL ``data`` and the byte length they span.
+
+    Every record is written with its newline in one flushed append, so a
+    final line without a newline is a write the process died inside:
+    that torn tail is dropped (it was never acknowledged).  Any other
+    malformed line still raises."""
+    end = data.rfind(b"\n") + 1
+    records = [json.loads(line)
+               for line in data[:end].decode("utf-8").splitlines()
+               if line.strip()]
+    return records, end
 
 
 def _edges_out(edges: Sequence[Edge]) -> List[List[Vertex]]:
@@ -307,24 +321,26 @@ class EdgeJournal:
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, path: str) -> "EdgeJournal":
-        """Read a journal file back; further appends continue the file."""
+        """Read a journal file back; further appends continue the file.
+        A torn final record is cut off the file first (see
+        :func:`_parse`), so the next append starts on a fresh line."""
         j = cls(path=None)
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    j.records.append(json.loads(line))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        j.records, end = _parse(data)
+        if end < len(data):
+            with open(path, "r+b") as fh:
+                fh.truncate(end)
         j.path = path
         j._fh = open(path, "a", encoding="utf-8")
         return j
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EdgeJournal":
-        """Rehydrate an in-memory journal from :meth:`to_bytes` output."""
+        """Rehydrate an in-memory journal from :meth:`to_bytes` output
+        (a torn final record is dropped, see :func:`_parse`)."""
         j = cls(path=None)
-        for line in data.decode("utf-8").splitlines():
-            if line:
-                j.records.append(json.loads(line))
+        j.records, _ = _parse(data)
         return j
 
     def to_bytes(self) -> bytes:

@@ -24,8 +24,7 @@ faults
     rebuilds from the write-ahead journal; ``retries`` — re-submissions
     after a recovery; ``retried_ops`` — operations that still committed
     after ≥1 retry; plus the folded injection counters (``crashes``,
-    ``worker_errors``, ``stalls_injected``, ``timeouts_injected``,
-    ``locks_orphaned``) from every attempt's report.
+    ``stalls_injected``) from every attempt's report.
 
 cuts
     Why each micro-batch was cut: ``size``, ``time``, ``pressure``,
@@ -37,19 +36,19 @@ epochs
     updates it carried.
 
 sim
-    The folded batch-report totals across all batches (work, spin,
-    contention, lock traffic; the lock counters stay 0 on the direct
-    kernel, which takes no locks).
+    The folded batch-report totals across all batches: charged
+    ``makespan``, ``total_work``, injected-stall ``spin_time``,
+    ``lock_failures`` (0: the direct kernel takes no locks) and
+    ``batches``.
 
 latency
     Admission→terminal latency percentiles on the service clock, split
     by class (updates vs queries).
 
 clock_unit
-    The unit of ``now``, ``latency.*`` and ``epochs[].makespan``:
-    ``"cost"`` (cost-model work units charged by the direct kernel) or
-    ``"sim"`` (makespans of the simulated machine).  Neither is wall
-    time.
+    The unit of ``now``, ``latency.*`` and ``epochs[].makespan``: always
+    ``"cost"``, the work units the direct kernel charges.  It is not
+    wall time.
 """
 
 from __future__ import annotations
@@ -111,8 +110,6 @@ class ServiceMetrics:
             "makespan": 0.0,
             "total_work": 0.0,
             "spin_time": 0.0,
-            "contended_time": 0.0,
-            "lock_acquires": 0,
             "lock_failures": 0,
             "batches": 0,
         }
@@ -130,10 +127,7 @@ class ServiceMetrics:
             "retries": 0,
             "retried_ops": 0,
             "crashes": 0,
-            "worker_errors": 0,
             "stalls_injected": 0,
-            "timeouts_injected": 0,
-            "locks_orphaned": 0,
         }
 
     # ------------------------------------------------------------------
@@ -155,14 +149,11 @@ class ServiceMetrics:
             self.update_latencies.append(latency)
 
     def fold_report(self, report) -> None:
-        """Accumulate one batch's timing report (a
-        :class:`~repro.core.maintainer.DirectReport` or a simulated
-        :class:`~repro.parallel.runtime.SimReport`) into the totals."""
+        """Accumulate one batch's
+        :class:`~repro.core.maintainer.DirectReport` into the totals."""
         self.sim["makespan"] += report.makespan
         self.sim["total_work"] += report.total_work
         self.sim["spin_time"] += report.spin_time
-        self.sim["contended_time"] += report.contended_time
-        self.sim["lock_acquires"] += report.lock_acquires
         self.sim["lock_failures"] += report.lock_failures
         self.sim["batches"] += 1
         self.fold_faults(report)
@@ -171,12 +162,8 @@ class ServiceMetrics:
         """Accumulate a report's injection counters (also called for
         *crashed* attempts, whose reports never reach :meth:`fold_report`
         because the batch did not commit)."""
-        f = self.faults
-        f["crashes"] += getattr(report, "crashes", 0)
-        f["worker_errors"] += getattr(report, "worker_errors", 0)
-        f["stalls_injected"] += getattr(report, "stalls_injected", 0)
-        f["timeouts_injected"] += getattr(report, "timeouts_injected", 0)
-        f["locks_orphaned"] += getattr(report, "locks_orphaned", 0)
+        self.faults["crashes"] += report.crashes
+        self.faults["stalls_injected"] += report.stalls_injected
 
     def record_epoch(
         self,
@@ -209,9 +196,9 @@ class ServiceMetrics:
 
     def as_dict(self, pending_depth: int = 0, now: float = 0.0,
                 epoch: int = 0, event_now: float = 0.0,
-                window_armed: int = 0, clock_unit: str = "cost") -> Dict:
+                window_armed: int = 0) -> Dict:
         return {
-            "clock_unit": clock_unit,
+            "clock_unit": "cost",
             "now": now,
             "event_now": event_now,
             "epoch": epoch,

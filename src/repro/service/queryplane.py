@@ -71,15 +71,13 @@ import pickle
 import struct
 import time
 from array import array
-from typing import (
-    Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple,
-)
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from multiprocessing import connection as _mpconn
 from multiprocessing import shared_memory
 
 from repro.graph.interning import VertexInterner
-from repro.graph.storage import INT64, int64_buffer, int64_view
+from repro.graph.storage import INT64, int64_view
 from repro.service.requests import (
     E_EPOCH_TRUNCATED,
     E_EPOCH_UNAVAILABLE,
@@ -337,21 +335,15 @@ class EpochPublisher:
             seg.release(unlink=True)
 
     # -- the publish hook ------------------------------------------------
-    def publish(self, epoch: int, min_epoch: int, cores,
-                touched: Optional[Iterable[Vertex]] = None) -> None:
+    def publish(self, epoch: int, min_epoch: int, cores: array) -> None:
         """Publish the core assignment of a committed epoch.
 
         ``cores`` is the store's dense int64 core array over
         :attr:`interner` (slot *i* holds the core of id *i*, or
-        :data:`CORE_UNKNOWN`), copied whole into the back buffer — or,
-        for a standalone publisher, a ``vertex -> core`` mapping, interned
-        and encoded here (``touched`` is accepted for commit-shaped
-        callers; the whole map is encoded either way).  ``min_epoch``
-        moves the refusal boundary: pins below it get
+        :data:`CORE_UNKNOWN`), copied whole into the back buffer.
+        ``min_epoch`` moves the refusal boundary: pins below it get
         :data:`E_EPOCH_TRUNCATED`.
         """
-        if isinstance(cores, Mapping):
-            cores = self._encode(cores)
         self._note_vocab()
         n = len(cores)
         if n > self._capacity or len(self._vocab_log) > self._vocab_capacity:
@@ -368,13 +360,6 @@ class EpochPublisher:
         self._active = back
         self._ctrl.i64[QP_CTRL_ACTIVE] = back
         self._last = (epoch, min_epoch)
-
-    def _encode(self, cores: Mapping[Vertex, int]) -> array:
-        slots = self.interner.intern_many(cores)
-        dense = int64_buffer(len(self.interner), CORE_UNKNOWN)
-        for i, k in zip(slots, cores.values()):
-            dense[i] = k
-        return dense
 
     # -- lifecycle -------------------------------------------------------
     def close(self, unlink: bool = True) -> None:

@@ -27,8 +27,9 @@ accounting invariant checked by CI::
     admitted == committed + quarantined + timed_out + abandoned
                                                          (at quiescence)
 
-Deadlines are *absolute simulated times* (the engine clock advances by
-ingest/query costs and batch makespans, see ``repro.parallel.costs``).
+Deadlines are *absolute service-clock times* in cost units (the engine
+clock advances by ingest/query costs and batch charges, see
+:mod:`repro.service.engine`).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class Request:
     ``op`` is ``"insert"``/``"remove"`` (with ``u``, ``v``) or ``"query"``
     (with ``kind`` and positional ``args``).  ``id`` must be unique per
     engine; leave it ``None`` to have the engine assign a sequence id.
-    ``deadline`` is an absolute simulated time; ``None`` means no bound.
+    ``deadline`` is an absolute service-clock time; ``None`` means no bound.
     """
 
     op: str
@@ -122,7 +123,7 @@ class Response:
     ``error`` is ``{"code": ..., "message": ...}`` for quarantined /
     rejected / timed-out responses.  ``epoch`` is the epoch the request
     committed in (for queries: the epoch it was answered against).
-    ``latency`` is simulated time from admission to the terminal state.
+    ``latency`` is service-clock time from admission to the terminal state.
     ``detail`` carries coalescing notes (``"coalesced"``, ``"cancelled"``).
 
     The two ``replica_*`` fields are the read-replica staleness contract

@@ -8,9 +8,9 @@
   survives crash recovery) and N shard engines, each a complete
   :class:`~repro.service.engine.Engine` — own maintainer, own batcher,
   own snapshot store, own write-ahead journal (``<path>.shard<i>``).
-  Shards are hosted in-process (``direct`` / ``sim`` backends) or in
-  real OS processes (``process`` backend,
-  :mod:`repro.parallel.procs`), one shared-nothing event loop each.
+  Shards are hosted in-process (``direct`` backend) or in real OS
+  processes (``process`` backend, :mod:`repro.parallel.procs`), one
+  shared-nothing event loop each.
 
 * **Routing.**  An update whose endpoints hash to the same shard is
   forwarded to that shard's engine and micro-batches there as usual
@@ -68,7 +68,7 @@ from repro.core.maintainer import OrderMaintainer
 from repro.faults.plane import CRASH, ROUTER_SALT, derive_plane
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.graph.interning import ShardedInterner
-from repro.service.engine import CLOCK_UNITS, Engine, EngineConfig
+from repro.service.engine import Engine, EngineConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import (
     E_BAD_REQUEST,
@@ -114,8 +114,8 @@ def shard_paths(base: Optional[str], nshards: int) -> List[Optional[str]]:
 class LocalShard:
     """In-process shard handle: direct calls into a shard's engine.
 
-    The ``direct`` and ``sim`` backends use this; the ``process``
-    backend substitutes :class:`repro.parallel.procs.ProcessShard`,
+    The ``direct`` backend uses this; the ``process`` backend
+    substitutes :class:`repro.parallel.procs.ProcessShard`,
     which speaks the same surface over a pipe.
     """
 
@@ -245,8 +245,7 @@ class ShardedEngine:
     config:
         An :class:`EngineConfig`; ``shards`` picks N, ``backend`` picks
         the shard substrate (``process`` hosts each shard engine in its
-        own OS process).  ``num_workers`` is the *total* worker budget,
-        dealt as ``max(1, num_workers // shards)`` per shard.
+        own OS process).
     crash_2pc:
         Test hook: ``{point: tx_seq}`` crashes the router (raises
         :class:`RouterCrashed`) at the named 2PC step of the tx with
@@ -337,20 +336,15 @@ class ShardedEngine:
     # construction helpers
     # ------------------------------------------------------------------
     def _shard_config(self, shard: int) -> EngineConfig:
-        """One shard's engine config: monolithic, its own journal file,
-        its slice of the worker budget, its own derived fault plane.
-        A process shard's worker hosts a *direct* engine: the worker
-        process already provides the isolation, and the direct kernel's
-        service clock is in the same deterministic cost units as the
-        router's ingest and query costs, so two runs of one input give
-        the same latencies and deadlines."""
+        """One shard's engine config: a direct monolith with its own
+        journal file and its own derived fault plane.  A process shard's
+        worker hosts the same direct engine in its own OS process."""
         cfg = self.config
         paths = shard_paths(cfg.journal_path, self.nshards)
         return replace(
             cfg,
             shards=1,
-            backend="direct" if cfg.backend == "process" else cfg.backend,
-            num_workers=max(1, cfg.num_workers // self.nshards),
+            backend="direct",
             journal_path=paths[shard],
             faults=derive_plane(cfg.faults, shard, seed=cfg.seed),
         )
@@ -505,9 +499,7 @@ class ShardedEngine:
         """Router ledger (plus the stitch counters) and every shard's own
         metrics surface."""
         router = self.metrics_collector.as_dict(
-            pending_depth=self.pending_ops(), now=self.now,
-            epoch=self.epoch, clock_unit=CLOCK_UNITS[self.config.backend],
-        )
+            pending_depth=self.pending_ops(), now=self.now, epoch=self.epoch)
         router.update(self._stitch_counts)
         return {"router": router,
                 "shards": [sh.metrics() for sh in self.shards]}
@@ -681,7 +673,7 @@ class ShardedEngine:
         Process shards overlap — each worker runs its maintainer batch
         while the router is still scattering — so a group's wall time is
         the *slowest* shard, not the sum.  Local shards execute at send
-        time (a direct call), which keeps sim semantics identical.  The
+        time (a direct call), which keeps their semantics identical.  The
         crash point fires between sends: frames already sent are
         processed (and journaled) by their workers even if the router
         dies before gathering, which is exactly the torn window the

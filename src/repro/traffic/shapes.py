@@ -51,7 +51,7 @@ SHAPES = ("uniform", "diurnal", "flash", "overload")
 #: while overload measurably misses — see BENCH_traffic_*.json.
 DEFAULT_SLO = {"update": 6000.0, "query": 4000.0}
 
-#: default arrival rate (events per event-clock unit).  The sim engine
+#: default arrival rate (events per event-clock unit).  The engine
 #: needs ~75 service units per op at small batches, so stability wants
 #: rate < ~1/75; 0.005 leaves headroom for bursts while time-based cuts
 #: (max_delay ~256) keep batches from starving.

@@ -169,6 +169,45 @@ def _drive(eng, edges, n=30):
     eng.flush()
 
 
+def test_torn_final_record_is_dropped_and_cut_off(tmp_path):
+    """A process killed inside an append leaves a last line without its
+    newline.  ``from_journal`` recovers the acknowledged prefix, the
+    file is cut back to it, and the next record starts on a fresh line.
+    A malformed line anywhere else still raises."""
+    path = str(tmp_path / "wal.jsonl")
+    edges = erdos_renyi(20, 40, seed=3)
+    with Engine(DynamicGraph(edges[:22]), max_batch=2,
+                journal_path=path) as eng:
+        _drive(eng, edges, n=18)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert len(eng.journal) >= 9
+    cut = len(data) - 7  # inside the last record
+    prefix = data[:data.rfind(b"\n", 0, cut) + 1]
+    with open(path, "r+b") as fh:
+        fh.truncate(cut)
+    back = Engine.from_journal(path, EngineConfig(max_batch=2))
+    oracle = core_decomposition(
+        DictGraph(EdgeJournal.from_bytes(prefix).final_edges())).core
+    got = back.cores()
+    assert all(got[u] == k for u, k in oracle.items())
+    assert all(k == 0 for u, k in got.items() if u not in oracle)
+    with open(path, "rb") as fh:
+        assert fh.read() == prefix
+    back.insert(100, 101)
+    back.flush()
+    back.close()
+    with open(path, "rb") as fh:
+        grown = fh.read()
+    assert grown.startswith(prefix) and grown.endswith(b"\n")
+    assert len(EdgeJournal.load(path)) == prefix.count(b"\n") + 2
+    # the in-memory form drops a torn tail the same way
+    assert (EdgeJournal.from_bytes(data[:cut]).to_bytes()
+            == EdgeJournal.from_bytes(prefix).to_bytes())
+    with pytest.raises(ValueError):
+        EdgeJournal.from_bytes(data[:cut] + b"\n" + prefix)
+
+
 def test_from_journal_restart_matches_original(tmp_path):
     edges = erdos_renyi(30, 70, seed=5)
     cfg = EngineConfig(max_batch=4, checkpoint_every=2,

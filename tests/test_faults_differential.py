@@ -5,13 +5,18 @@ committed results as long as the retry budget outlasts the crash
 budget:
 
 * seeded differentials over every small graph family: a faulty engine
-  (crashes + stalls + timeouts, journal, checkpoints, retries) answers
-  the same statuses and ends on the same cores as a clean engine;
-* benign schedules (stall/timeout only) leave even the epoch timeline
+  (crashes + stalls, journal, checkpoints, retries) answers the same
+  statuses and ends on the same cores as a clean engine;
+* benign schedules (stalls only) leave even the epoch timeline
   untouched;
 * a hypothesis stateful machine drives an engine through interleaved
   inserts/removes/flushes/process-restarts and checks it against a
   never-crashed :class:`DictGraph` oracle after every flush.
+
+The engine's direct kernel draws one fault decision per edge.  The
+simulated OurI/OurR draws one per worker event, acquire-timeouts
+included; :func:`test_simulated_kernel_recovers_every_crashed_batch`
+covers that kernel on its own.
 """
 
 import pytest
@@ -24,9 +29,12 @@ from hypothesis.stateful import (
 )
 
 from repro.core.decomposition import core_decomposition
-from repro.faults.plane import FaultSpec
+from repro.faults.plane import BatchCrashed, FaultPlane, FaultSpec
 from repro.graph.dictgraph import DictGraph
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
+from repro.graph.generators import barabasi_albert
+from repro.parallel.batch import ParallelOrderMaintainer
+from repro.parallel.runtime import SimDeadlockError
 from repro.service import Engine, EngineConfig
 from repro.service.requests import STATUS_ABANDONED
 
@@ -34,9 +42,8 @@ from tests.conftest import assert_cores_match_bz, small_graph_families
 
 #: more retries than the crash budget, so no batch is ever abandoned and
 #: the faulty engine must converge to the clean one
-CHAOS = FaultSpec(crash_rate=0.02, stall_rate=0.02, timeout_rate=0.02,
-                  max_crashes=5)
-BENIGN = FaultSpec(stall_rate=0.15, timeout_rate=0.15)
+CHAOS = FaultSpec(crash_rate=0.02, stall_rate=0.02, max_crashes=5)
+BENIGN = FaultSpec(stall_rate=0.15)
 
 
 def _trace(edges, seed):
@@ -100,19 +107,69 @@ def test_chaos_differential_actually_injected_crashes():
 @pytest.mark.parametrize("name,edges", small_graph_families(seed=4)[:3],
                          ids=lambda p: str(p)[:12])
 def test_benign_faults_never_change_results(name, edges):
-    """Stalls perturb timing and timeouts force CAS failures, but the
-    protocol tolerates both: statuses, epochs and cores are identical
-    to a fault-free run."""
+    """Stalls perturb timing only: statuses, epochs and cores are
+    identical to a fault-free run."""
     cut = len(edges) // 2
     ops = _trace(edges[cut:], seed=4)
     faulty, f_statuses = _run(edges[:cut], ops, BENIGN, seed=4)
     clean, c_statuses = _run(edges[:cut], ops, None, seed=4)
     flt = faulty.metrics()["faults"]
-    assert flt["stalls_injected"] + flt["timeouts_injected"] > 0
+    assert flt["stalls_injected"] > 0
     assert flt["crashed_batches"] == 0
     assert f_statuses == c_statuses
     assert faulty.epoch == clean.epoch
     assert faulty.cores() == clean.cores()
+
+
+def _kernel_chaos(seed):
+    """Insert and remove batches on the simulated OurI/OurR under crash,
+    stall and acquire-timeout injection.  Before each batch the live
+    state is checkpointed (graph, cores, OM order); a crashed attempt
+    discards the maintainer, restores the checkpoint through
+    ``from_checkpoint`` and re-applies the batch, as the engine's
+    journal recovery does.  After every batch the cores must equal a
+    from-scratch decomposition of the intended edge set."""
+    spec = FaultSpec(crash_rate=0.01, stall_rate=0.02, timeout_rate=0.02,
+                     max_crashes=6)
+    plane = FaultPlane(spec, seed=seed)
+    edges = barabasi_albert(60, 3, seed=3)
+    present = {canonical_edge(u, v) for u, v in edges[:90]}
+    m = ParallelOrderMaintainer(DynamicGraph(sorted(present)), faults=plane)
+    batches = [("+", edges[i:i + 12]) for i in range(90, len(edges), 12)]
+    batches += [("-", edges[i:i + 12]) for i in range(0, 72, 12)]
+    crashed = 0
+    for kind, batch in batches:
+        ck = (sorted(present), m.cores(), m.order_sequence())
+        while True:
+            try:
+                if kind == "+":
+                    m.insert_edges(batch)
+                else:
+                    m.remove_edges(batch)
+                break
+            except (BatchCrashed, SimDeadlockError):
+                crashed += 1
+                m = ParallelOrderMaintainer.from_checkpoint(
+                    DynamicGraph(ck[0]), ck[1], ck[2], faults=plane)
+        edits = {canonical_edge(u, v) for u, v in batch}
+        present = present | edits if kind == "+" else present - edits
+        oracle = core_decomposition(DictGraph(sorted(present))).core
+        got = m.cores()
+        assert all(got[u] == k for u, k in oracle.items())
+        assert all(k == 0 for u, k in got.items() if u not in oracle)
+    m.check()
+    return plane, crashed
+
+
+def test_simulated_kernel_recovers_every_crashed_batch():
+    plane, crashed = _kernel_chaos(seed=7)
+    assert plane.crashes > 0 and crashed > 0, plane.counters()
+    assert plane.timeouts > 0, plane.counters()
+    assert plane.stalls > 0, plane.counters()
+    again, _ = _kernel_chaos(seed=7)
+    assert again.digest() == plane.digest()
+    other, _ = _kernel_chaos(seed=8)
+    assert other.digest() != plane.digest()
 
 
 class ChaosEngineMachine(RuleBasedStateMachine):
@@ -135,7 +192,7 @@ class ChaosEngineMachine(RuleBasedStateMachine):
         self.cfg = EngineConfig(
             max_batch=3, seed=21, checkpoint_every=2, max_retries=9,
             faults=FaultSpec(crash_rate=0.03, stall_rate=0.03,
-                             timeout_rate=0.03, max_crashes=8),
+                             max_crashes=8),
         )
         self.eng = Engine(DynamicGraph(base), self.cfg)
         self.intended = {canonical_edge(u, v) for u, v in base}

@@ -1,8 +1,9 @@
 """Serving on the default (direct) backend never loads the simulated
 machine: a fresh interpreter builds an Engine, a two-shard in-process
 ShardedEngine and a FollowerEngine, drives each through submit, flush and
-query, and must end with neither ``repro.parallel.runtime`` nor
-``repro.parallel.scheduling`` imported."""
+query, and must end with none of ``repro.parallel.runtime``,
+``repro.parallel.scheduling``, ``repro.parallel.costs`` or
+``repro.parallel.batch`` imported."""
 
 import json
 import os
@@ -40,7 +41,8 @@ follower.replay()
 answers["follower"] = follower.query("core", 2).value
 eng.close()
 
-loaded = [m for m in ("repro.parallel.runtime", "repro.parallel.scheduling")
+loaded = [m for m in ("repro.parallel.runtime", "repro.parallel.scheduling",
+                     "repro.parallel.costs", "repro.parallel.batch")
           if m in sys.modules]
 print(json.dumps({"answers": answers, "loaded": loaded}))
 """

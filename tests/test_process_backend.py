@@ -173,15 +173,13 @@ class TestEdgeDeltas:
 
 class TestWorkerHelpers:
     def test_shard_edges_appends_foreign(self):
-        eng = Engine(DynamicGraph([(0, 1)]), EngineConfig(backend="sim"),
-                     foreign=[(5, 6)])
+        eng = Engine(DynamicGraph([(0, 1)]), foreign=[(5, 6)])
         assert _shard_edges(eng) == list(eng.graph.edges()) + [
             canonical_edge(5, 6)]
         eng.close()
 
     def test_shard_vertices_dedups_foreign_endpoints(self):
-        eng = Engine(DynamicGraph([(0, 1)]), EngineConfig(backend="sim"),
-                     foreign=[(1, 2)])
+        eng = Engine(DynamicGraph([(0, 1)]), foreign=[(1, 2)])
         vs = _shard_vertices(eng)
         assert sorted(vs) == [0, 1, 2]
         assert len(vs) == 3

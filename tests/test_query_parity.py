@@ -40,7 +40,7 @@ def surfaces():
     eng.insert(4, 5)
     eng.flush()
     sharded = ShardedEngine(DynamicGraph(EDGES),
-                            EngineConfig(backend="sim", shards=2))
+                            EngineConfig(shards=2))
     follower = FollowerEngine(0, eng.config)
     follower.receive(eng.journal.records)
     follower.replay()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi
+from repro.graph.storage import int64_buffer
 from repro.replication import FollowerEngine, ReplicaSet
 from repro.service.engine import Engine, EngineConfig
 from repro.service.queryplane import (
@@ -34,6 +35,17 @@ from repro.service.requests import (
 from repro.service.snapshots import QUERY_KINDS
 
 ALL_KINDS = sorted(QUERY_KINDS)
+
+
+def publish_map(pub, epoch, min_epoch, cores):
+    """Publish a ``vertex -> core`` map at a chosen epoch stamp: intern
+    its vertices into the publisher's interner and hand over the dense
+    array, as a :class:`SnapshotStore` commit would."""
+    slots = pub.interner.intern_many(cores)
+    dense = int64_buffer(len(pub.interner), CORE_UNKNOWN)
+    for i, k in zip(slots, cores.values()):
+        dense[i] = k
+    pub.publish(epoch, min_epoch, dense)
 
 
 def update_stream(seed, nv, nops):
@@ -123,7 +135,7 @@ class TestPublisherReaderDifferential:
                 value, epoch, _, err = r.answer("degeneracy", ())
                 assert value is None and epoch == NO_EPOCH
                 assert err[0] == E_EPOCH_UNAVAILABLE
-                pub.publish(1, 0, {"a": 2, "b": 2})
+                publish_map(pub, 1, 0, {"a": 2, "b": 2})
                 assert r.answer("nope", ())[3][0] == E_UNKNOWN_QUERY
                 value, epoch, _, err = r.answer("core", ("zz",))
                 assert err[0] == E_UNKNOWN_VERTEX and epoch == 1
@@ -135,7 +147,7 @@ class TestPublisherReaderDifferential:
 
     def test_raw_envelope_to_response(self):
         with EpochPublisher() as pub:
-            pub.publish(4, 2, {"x": 1})
+            publish_map(pub, 4, 2, {"x": 1})
             with SnapshotReader(pub.ctrl_name) as r:
                 resp = raw_to_response(r.answer("core", ("x",)), id="r1")
                 assert resp.status == STATUS_COMMITTED
@@ -146,7 +158,7 @@ class TestPublisherReaderDifferential:
 class TestSeqlock:
     def test_torn_read_retries_then_bounds(self):
         with EpochPublisher() as pub:
-            pub.publish(1, 0, {"a": 1})
+            publish_map(pub, 1, 0, {"a": 1})
             active = pub._active
             hdr = pub._bufs[active].i64
             with SnapshotReader(pub.ctrl_name, max_spins=200) as r:
@@ -171,7 +183,7 @@ class TestSeqlock:
         stamp looks stable but whose echo disagrees is refused as torn —
         on both the general and the fused point path."""
         with EpochPublisher() as pub:
-            pub.publish(1, 0, {"a": 1})
+            publish_map(pub, 1, 0, {"a": 1})
             hdr = pub._bufs[pub._active].i64
             with SnapshotReader(pub.ctrl_name, max_spins=200) as r:
                 assert r.answer("core", ("a",))[0] == 1
@@ -187,12 +199,12 @@ class TestSeqlock:
 
     def test_regrow_keeps_readers_attached(self):
         with EpochPublisher(capacity=2, vocab_capacity=64) as pub:
-            pub.publish(1, 0, {0: 1, 1: 1})
+            publish_map(pub, 1, 0, {0: 1, 1: 1})
             with SnapshotReader(pub.ctrl_name) as r:
                 assert r.answer("core", (0,))[0] == 1
                 gen0 = r.stats()["generation"]
                 cores = {i: 1 for i in range(40)}  # forces a regrow
-                pub.publish(2, 0, cores, touched=cores)
+                publish_map(pub, 2, 0, cores)
                 value, epoch, _, err = r.answer("shell_histogram", ())
                 assert err is None and epoch == 2
                 assert value == {1: 40}
@@ -202,8 +214,8 @@ class TestSeqlock:
 class TestPinContract:
     def test_pin_previous_epoch_reports_staleness(self):
         with EpochPublisher() as pub:
-            pub.publish(1, 0, {"a": 1})
-            pub.publish(2, 0, {"a": 2}, touched=["a"])
+            publish_map(pub, 1, 0, {"a": 1})
+            publish_map(pub, 2, 0, {"a": 2})
             with SnapshotReader(pub.ctrl_name) as r:
                 value, epoch, stale, err = r.answer("core", ("a",),
                                                     pin_epoch=1)
@@ -218,13 +230,12 @@ class TestPinContract:
         a reader pinned there keeps getting pre-grow answers — never
         the regrowing commit's values under the old stamp."""
         with EpochPublisher(capacity=2, vocab_capacity=64) as pub:
-            pub.publish(1, 0, {"a": 1, "b": 1})
+            publish_map(pub, 1, 0, {"a": 1, "b": 1})
             with SnapshotReader(pub.ctrl_name) as r:
                 assert r.answer("core", ("a",), pin_epoch=1)[:2] == (1, 1)
                 cores = {"a": 5, "b": 1}
                 cores.update({i: 2 for i in range(30)})  # forces a regrow
-                pub.publish(2, 0, cores,
-                            touched=["a"] + list(range(30)))
+                publish_map(pub, 2, 0, cores)
                 assert r.answer("core", ("a",))[:2] == (5, 2)
                 # epoch 1 still answers with its own values, not 5
                 assert r.answer("core", ("a",), pin_epoch=1) == (1, 1, 1,
@@ -243,7 +254,7 @@ class TestPinContract:
     def test_pin_unbuffered_and_truncated(self):
         with EpochPublisher() as pub:
             for e in range(1, 6):
-                pub.publish(e, 2, {"a": e}, touched=["a"])
+                publish_map(pub, e, 2, {"a": e})
             with SnapshotReader(pub.ctrl_name) as r:
                 # within [min_epoch, latest) but no longer double-buffered
                 assert r.answer("core", ("a",), pin_epoch=3)[3][0] \
@@ -402,7 +413,7 @@ class TestReaderPool:
 
     def test_preload_run_partitions(self):
         with EpochPublisher() as pub:
-            pub.publish(1, 0, {i: 1 + i % 3 for i in range(12)})
+            publish_map(pub, 1, 0, {i: 1 + i % 3 for i in range(12)})
             with ReaderPool(pub.ctrl_name, readers=2) as pool:
                 chunk = [("core", (i % 12,)) for i in range(40)]
                 slices = [chunk[r::2] for r in range(2)]
@@ -425,7 +436,7 @@ class TestReaderPool:
         ``close()``: every process is still stopped and joined, and the
         shared counter segment is released."""
         with EpochPublisher() as pub:
-            pub.publish(1, 0, {"a": 1})
+            publish_map(pub, 1, 0, {"a": 1})
             pool = ReaderPool(pub.ctrl_name, readers=2)
             # malformed frame: the worker's unpack raises, it replies err
             pool.dispatch([("core",)])
@@ -436,7 +447,7 @@ class TestReaderPool:
 
     def test_pool_refusal_is_a_response(self):
         with EpochPublisher() as pub:
-            pub.publish(3, 2, {"a": 1})
+            publish_map(pub, 3, 2, {"a": 1})
             with ReaderPool(pub.ctrl_name, readers=1) as pool:
                 resp = pool.query("degeneracy", pin_epoch=1)
                 assert resp.status == STATUS_QUARANTINED
@@ -481,33 +492,3 @@ class TestQueryPressureFeedback:
         finally:
             eng.close()
             pub.close()
-
-
-class TestPublisherIncrementalMirror:
-    def test_touched_updates_equal_full_rewrites(self):
-        full = EpochPublisher()
-        incr = EpochPublisher()
-        eng = Engine(DynamicGraph(erdos_renyi(20, 50, seed=8)),
-                     EngineConfig())
-        try:
-            eng.flush()
-            view = eng.snapshots.view()
-            full.publish(view.epoch, 0, view.cores(), None)
-            incr.publish(view.epoch, 0, view.cores(), None)
-            with SnapshotReader(full.ctrl_name) as rf, \
-                    SnapshotReader(incr.ctrl_name) as ri:
-                for op, u, v in update_stream(30, 20, 25):
-                    getattr(eng, op)(u, v)
-                    eng.flush()
-                    view = eng.snapshots.view()
-                    full.publish(view.epoch, 0, view.cores(), None)
-                    incr.publish(view.epoch, 0, view.cores(),
-                                 touched=[u, v] + list(view.cores()))
-                    a = rf.answer("shell_histogram", ())
-                    b = ri.answer("shell_histogram", ())
-                    assert a == b and a[1] == view.epoch
-                    assert a[0] == view.shell_histogram()
-        finally:
-            eng.close()
-            full.close()
-            incr.close()

@@ -22,7 +22,6 @@ from repro.parallel.scheduling import (
     get_policy,
 )
 from repro.parallel.threads import ThreadedOrderMaintainer
-from repro.service import Engine
 
 from tests.conftest import (
     assert_cores_match_bz,
@@ -250,19 +249,8 @@ class TestWaveMetrics:
 
 
 # ----------------------------------------------------------------------
-# plumbing: engine/threads accept the policy
+# plumbing: the threaded maintainer accepts the policy
 # ----------------------------------------------------------------------
-def test_engine_policy_passthrough():
-    edges = erdos_renyi(30, 70, seed=2)
-    base, tail = split_edges(edges)
-    eng = Engine(DynamicGraph(base), num_workers=4, policy="conflict-aware")
-    for u, v in tail:
-        eng.insert(u, v)
-    eng.flush()
-    assert eng.maintainer.policy.name == "conflict-aware"
-    assert_cores_match_bz(eng.maintainer)
-
-
 def test_threaded_maintainer_policy():
     edges = erdos_renyi(30, 70, seed=8)
     base, tail = split_edges(edges)

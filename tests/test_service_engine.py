@@ -249,26 +249,27 @@ class TestBackends:
         assert EngineConfig().backend == "direct"
         assert isinstance(Engine(triangle()).maintainer,
                           DirectOrderMaintainer)
-        with pytest.raises(ValueError, match="unknown backend"):
-            EngineConfig(backend="thread")
+        for gone in ("thread", "sim"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                EngineConfig(backend=gone)
+        with pytest.raises(ValueError, match="ShardedEngine"):
+            Engine(triangle(), backend="process")
 
     def test_direct_keeps_the_policy_name_and_a_serial_plan(self):
-        m = Engine(triangle(), policy="lpt").maintainer
-        assert m.policy.name == "lpt"
+        m = Engine(triangle()).maintainer
+        assert m.policy.name == "fifo"
         plan = m.policy.plan([(0, 3), (1, 3)], 4)
         assert plan.assignments == [[(0, 3), (1, 3)]]
 
-    @pytest.mark.parametrize("backend,unit", [("direct", "cost"),
-                                              ("sim", "sim")])
-    def test_metrics_name_the_clock_unit(self, backend, unit):
-        eng = Engine(triangle(), backend=backend, max_batch=2)
+    def test_metrics_name_the_clock_unit(self):
+        eng = Engine(triangle(), max_batch=2)
         eng.insert(0, 3)
         eng.insert(1, 3)
         m = eng.metrics()
-        assert m["clock_unit"] == unit
+        assert m["clock_unit"] == "cost"
         text = render_service_metrics(m)
-        assert f"({unit} units)" in text.splitlines()[0]
-        assert f"update latency ({unit} units)" in text
+        assert "(cost units)" in text.splitlines()[0]
+        assert "update latency (cost units)" in text
 
     def test_direct_charge_follows_vplus_and_vstar(self):
         eng = Engine(triangle(), max_batch=3)

@@ -1,7 +1,7 @@
 """Sharded serving: routing, the cross-shard run buffer, the foreign
 (track-role) replica invariants, and the differential guarantee — a
 sharded engine's stitched cores are bit-identical to one engine fed the
-same trace, on every backend and shard count."""
+same trace, on both shard backends and every shard count."""
 
 import random
 
@@ -42,7 +42,7 @@ def update_stream(seed, nv, nops):
 
 
 def mono_cores(ops, init=()):
-    eng = Engine(DynamicGraph(list(init)), EngineConfig(backend="sim"))
+    eng = Engine(DynamicGraph(list(init)))
     for op, u, v in ops:
         getattr(eng, op)(u, v)
     eng.flush()
@@ -53,7 +53,7 @@ def mono_cores(ops, init=()):
 
 class TestRouting:
     def test_intra_shard_ops_go_to_the_owner(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=4))
+        eng = ShardedEngine(None, EngineConfig(shards=4))
         # 0-4 and 4-8 are intra (0,4,8 all hash to shard 0 for ints)
         eng.insert(0, 4)
         eng.insert(4, 8)
@@ -68,7 +68,7 @@ class TestRouting:
         """Single-maintainer rule: the coordinator (owner of the
         canonical first endpoint) applies the edge; the peer only
         tracks it in its foreign set."""
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=4))
+        eng = ShardedEngine(None, EngineConfig(shards=4))
         eng.insert(0, 1)   # shard 0 coordinates, shard 1 tracks
         eng.flush()
         e = canonical_edge(0, 1)
@@ -87,8 +87,8 @@ class TestRouting:
         where live inserts would."""
         edges = [(0, 1), (0, 4), (2, 6), (3, 5)]
         seeded = ShardedEngine(DynamicGraph(edges),
-                               EngineConfig(backend="sim", shards=4))
-        live = ShardedEngine(None, EngineConfig(backend="sim", shards=4))
+                               EngineConfig(shards=4))
+        live = ShardedEngine(None, EngineConfig(shards=4))
         for u, v in edges:
             live.insert(u, v)
         live.flush()
@@ -101,7 +101,7 @@ class TestRouting:
         live.close()
 
     def test_duplicate_id_quarantined_globally(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         r1 = eng.insert(0, 1, id="x")
         r2 = eng.insert(2, 3, id="x")
         assert r1.status in (STATUS_PENDING, STATUS_COMMITTED)
@@ -109,12 +109,12 @@ class TestRouting:
         eng.close()
 
     def test_self_loop_quarantined(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         assert eng.insert(5, 5).status == STATUS_QUARANTINED
         eng.close()
 
     def test_query_carries_stitched_epoch(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 2)
         eng.insert(1, 3)
         eng.flush()
@@ -129,7 +129,7 @@ class TestCrossBuffer:
     """The router's cross-shard run buffer mirrors the micro-batcher."""
 
     def test_same_kind_duplicate_coalesces(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 1)
         r = eng.insert(0, 1)
         assert r.status == STATUS_PENDING and r.detail == "coalesced"
@@ -138,7 +138,7 @@ class TestCrossBuffer:
         eng.close()
 
     def test_opposite_kind_annihilates(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 1)
         r = eng.remove(0, 1)
         assert r.status == STATUS_COMMITTED and r.detail == "cancelled"
@@ -148,7 +148,7 @@ class TestCrossBuffer:
         eng.close()
 
     def test_kind_conflict_cuts_the_pending_group(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 1)
         eng.insert(2, 3)
         eng.remove(0, 1)       # annihilates, group still pending
@@ -160,7 +160,7 @@ class TestCrossBuffer:
         eng.close()
 
     def test_validation_failure_quarantines_riders_on_both_shards(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.remove(0, 1)       # edge was never inserted
         done = eng.flush()
         assert any(r.status == STATUS_QUARANTINED for r in done)
@@ -170,7 +170,7 @@ class TestCrossBuffer:
 
     def test_group_cap_cuts_by_size(self):
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, cross_group=2))
+            None, EngineConfig(shards=2, cross_group=2))
         eng.insert(0, 1)
         eng.insert(2, 3)       # second cross op hits the cap
         assert sum(len(r) for r in eng._xriders.values()) == 0
@@ -182,7 +182,7 @@ class TestForeignInvariants:
         """validate_cross must agree on both sides of a cross edge:
         the coordinator sees it in its graph, the peer in its foreign
         set."""
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 1)
         eng.flush()
         coord = eng.interner.shard_of(canonical_edge(0, 1)[0])
@@ -193,7 +193,7 @@ class TestForeignInvariants:
         eng.close()
 
     def test_track_commit_does_not_bump_peer_epoch(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 1)
         eng.flush()
         coord = eng.interner.shard_of(canonical_edge(0, 1)[0])
@@ -203,7 +203,7 @@ class TestForeignInvariants:
         eng.close()
 
     def test_remove_clears_the_foreign_entry(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 1)
         eng.flush()
         eng.remove(0, 1)
@@ -216,24 +216,10 @@ class TestForeignInvariants:
 
 class TestDifferential:
     @pytest.mark.parametrize("shards", [2, 3, 4])
-    def test_sim_matches_monolith(self, shards):
-        init = [(i, i + 1) for i in range(0, 30, 2)]
-        ops = update_stream(7, 48, 220)
-        oracle = mono_cores(ops, init)
-        eng = ShardedEngine(DynamicGraph(list(init)),
-                            EngineConfig(backend="sim", shards=shards))
-        for op, u, v in ops:
-            getattr(eng, op)(u, v)
-        eng.flush()
-        assert eng.cores() == oracle
-        eng.check()
-        eng.close()
-
-    @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_direct_matches_monolith(self, shards):
         init = [(i, i + 1) for i in range(0, 30, 2)]
         ops = update_stream(7, 48, 220)
-        oracle = mono_cores(ops, init)  # a sim monolith
+        oracle = mono_cores(ops, init)
         eng = ShardedEngine(DynamicGraph(list(init)),
                             EngineConfig(backend="direct", shards=shards))
         for op, u, v in ops:
@@ -247,7 +233,7 @@ class TestDifferential:
         ops = update_stream(13, 32, 150)
         oracle = mono_cores(ops)
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=3, cross_group=2))
+            None, EngineConfig(shards=3, cross_group=2))
         for op, u, v in ops:
             getattr(eng, op)(u, v)
         eng.flush()
@@ -305,7 +291,7 @@ class TestDifferential:
                 ops.append(("insert", u, v))
                 edges.add(e)
         oracle = mono_cores(ops)
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=3))
+        eng = ShardedEngine(None, EngineConfig(shards=3))
         for op, u, v in ops:
             getattr(eng, op)(u, v)
         eng.flush()
@@ -330,7 +316,7 @@ class TestSurface:
         assert [a.shard_of(x) for x in xs] == [b.shard_of(x) for x in xs]
 
     def test_metrics_shape(self):
-        eng = ShardedEngine(None, EngineConfig(backend="sim", shards=2))
+        eng = ShardedEngine(None, EngineConfig(shards=2))
         eng.insert(0, 1)
         eng.flush()
         m = eng.metrics()
@@ -338,15 +324,13 @@ class TestSurface:
         eng.close()
 
     def test_local_shard_present_vertices_include_foreign_endpoints(self):
-        cfg = EngineConfig(backend="sim")
-        sh = LocalShard(1, Engine(DynamicGraph(), cfg,
-                                  foreign=[(0, 1)]))
+        sh = LocalShard(1, Engine(DynamicGraph(), foreign=[(0, 1)]))
         assert set(sh.present_vertices()) == {0, 1}
         sh.close()
 
     def test_shards_must_be_positive(self):
         with pytest.raises(ValueError):
-            ShardedEngine(None, EngineConfig(backend="sim", shards=0))
+            ShardedEngine(None, EngineConfig(shards=0))
 
 
 def oracle_cores(eng, edges):
@@ -378,8 +362,7 @@ class TestIncrementalStitch:
     """The router keeps global cores with OI/OR over shard edge deltas;
     every stitched map must equal a from-scratch decomposition."""
 
-    CASES = ([(b, n, every) for b in ("direct", "sim") for n in (2, 3, 4)
-              for every in (1, 7)]
+    CASES = ([("direct", n, every) for n in (2, 3, 4) for every in (1, 7)]
              + [("process", 2, 1), ("process", 2, 7)])
 
     @pytest.mark.parametrize("backend,shards,every", CASES)

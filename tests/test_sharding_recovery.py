@@ -36,14 +36,13 @@ def union_edges(eng):
 
 
 def fresh_cores(edges):
-    oracle = Engine(DynamicGraph(sorted(edges, key=repr)),
-                    EngineConfig(backend="sim"))
+    oracle = Engine(DynamicGraph(sorted(edges, key=repr)))
     cores = dict(oracle.maintainer.cores())
     oracle.close()
     return cores
 
 
-def recovered_matches_fresh_decomposition(base, shards, backend="sim"):
+def recovered_matches_fresh_decomposition(base, shards, backend="direct"):
     """Recover, then check the stitch against a from-scratch single
     engine on the recovered union edge set: the first stitch (the router
     maintainer's rebuild), then an incremental one after a few more
@@ -71,7 +70,7 @@ def recovered_matches_fresh_decomposition(base, shards, backend="sim"):
 
 
 class TestCleanRestart:
-    @pytest.mark.parametrize("backend", ["sim", "process"])
+    @pytest.mark.parametrize("backend", ["direct", "process"])
     def test_close_then_from_journals_is_bit_identical(self, backend,
                                                        tmp_path):
         base = str(tmp_path / "j")
@@ -93,7 +92,7 @@ class TestCleanRestart:
     def test_foreign_set_survives_restart(self, tmp_path):
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base))
+            None, EngineConfig(shards=2, journal_path=base))
         eng.insert(0, 1)
         eng.flush()
         coord = eng.interner.shard_of(canonical_edge(0, 1)[0])
@@ -102,7 +101,7 @@ class TestCleanRestart:
         assert foreign_live
         eng.close()
         rec = ShardedEngine.from_journals(
-            base, EngineConfig(backend="sim", shards=2))
+            base, EngineConfig(shards=2))
         assert set(rec.shards[peer].engine._foreign) == foreign_live
         assert rec.shards[coord].engine.graph.has_edge(0, 1)
         rec.close()
@@ -112,14 +111,14 @@ class TestCleanRestart:
         checkpoint record, not by replaying commit2s before it."""
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base,
+            None, EngineConfig(shards=2, journal_path=base,
                                checkpoint_every=1))
         eng.insert(0, 1)
         eng.insert(2, 3)
         eng.flush()
         eng.close()
         rec = ShardedEngine.from_journals(
-            base, EngineConfig(backend="sim", shards=2))
+            base, EngineConfig(shards=2))
         assert rec.cores() == mono_cores(
             [("insert", 0, 1), ("insert", 2, 3)])
         rec.close()
@@ -127,12 +126,12 @@ class TestCleanRestart:
     def test_duplicate_ids_remembered_across_restart(self, tmp_path):
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base))
+            None, EngineConfig(shards=2, journal_path=base))
         eng.insert(0, 1, id="once")
         eng.flush()
         eng.close()
         rec = ShardedEngine.from_journals(
-            base, EngineConfig(backend="sim", shards=2))
+            base, EngineConfig(shards=2))
         r = rec.insert(4, 5, id="once")
         assert r.error is not None
         rec.close()
@@ -149,7 +148,7 @@ class TestCrashWindows:
         ops = update_stream(9, 32, 160)
         eng = ShardedEngine(
             None,
-            EngineConfig(backend="sim", shards=3, journal_path=base,
+            EngineConfig(shards=3, journal_path=base,
                          cross_group=4),
             crash_2pc={point: txseq},
         )
@@ -170,7 +169,7 @@ class TestCrashWindows:
         ops = update_stream(17, 32, 160)
         eng = ShardedEngine(
             None,
-            EngineConfig(backend="sim", shards=3, journal_path=base,
+            EngineConfig(shards=3, journal_path=base,
                          cross_group=4),
             crash_2pc={point: 2},
         )
@@ -179,7 +178,7 @@ class TestCrashWindows:
             eng.flush()
         eng.abandon()
         rec = ShardedEngine.from_journals(
-            base, EngineConfig(backend="sim", shards=3))
+            base, EngineConfig(shards=3))
         rec.close()
         replays = [EdgeJournal.load(p).replay()
                    for p in shard_paths(base, 3)]
@@ -199,7 +198,7 @@ class TestCrashWindows:
         base = str(tmp_path / "j")
         eng = ShardedEngine(
             None,
-            EngineConfig(backend="sim", shards=2, journal_path=base,
+            EngineConfig(shards=2, journal_path=base,
                          cross_group=1),
             crash_2pc={"prepare-peer": 0},
         )
@@ -208,7 +207,7 @@ class TestCrashWindows:
             eng.flush()
         eng.abandon()
         rec = ShardedEngine.from_journals(
-            base, EngineConfig(backend="sim", shards=2))
+            base, EngineConfig(shards=2))
         assert all(not sh.engine.graph.has_edge(0, 1)
                    for sh in rec.shards)
         assert all(canonical_edge(0, 1) not in sh.engine._foreign
@@ -225,7 +224,7 @@ class TestCrashWindows:
         base = str(tmp_path / "j")
         eng = ShardedEngine(
             None,
-            EngineConfig(backend="sim", shards=2, journal_path=base,
+            EngineConfig(shards=2, journal_path=base,
                          cross_group=1),
             crash_2pc={"commit-peer": 0},
         )
@@ -234,7 +233,7 @@ class TestCrashWindows:
             eng.flush()
         eng.abandon()
         rec = ShardedEngine.from_journals(
-            base, EngineConfig(backend="sim", shards=2))
+            base, EngineConfig(shards=2))
         e = canonical_edge(0, 1)
         coord = rec.interner.shard_of(e[0])
         peer = [s for s in range(2) if s != coord][0]
@@ -245,13 +244,13 @@ class TestCrashWindows:
         rec.close()
 
     def test_process_backend_recovers_crash_window(self, tmp_path):
-        """The torn journals a crashed sim router leaves behind restart
+        """The torn journals a crashed in-process router leaves behind restart
         under process-backend workers too."""
         base = str(tmp_path / "j")
         ops = update_stream(21, 32, 120)
         eng = ShardedEngine(
             None,
-            EngineConfig(backend="sim", shards=2, journal_path=base,
+            EngineConfig(shards=2, journal_path=base,
                          cross_group=4),
             crash_2pc={"commit-peer": 1},
         )
@@ -285,7 +284,7 @@ class TestShutdownOrdering:
     def test_close_is_idempotent(self, tmp_path):
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base))
+            None, EngineConfig(shards=2, journal_path=base))
         eng.insert(0, 1)
         eng.flush()
         eng.close()
@@ -298,7 +297,7 @@ class TestShutdownOrdering:
     def test_abandon_leaves_no_checkpoint(self, tmp_path):
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base))
+            None, EngineConfig(shards=2, journal_path=base))
         eng.insert(0, 1)
         eng.flush()
         eng.abandon()
@@ -311,13 +310,13 @@ class TestShutdownOrdering:
         never journaled anywhere — recovery must not invent it."""
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base))
+            None, EngineConfig(shards=2, journal_path=base))
         eng.insert(0, 2)       # intra, flushed below
         eng.flush()
         eng.insert(0, 1)       # cross, still buffered
         eng.abandon()
         rec = ShardedEngine.from_journals(
-            base, EngineConfig(backend="sim", shards=2))
+            base, EngineConfig(shards=2))
         assert not any(sh.engine.graph.has_edge(0, 1)
                        for sh in rec.shards)
         rec.close()
@@ -325,7 +324,7 @@ class TestShutdownOrdering:
     def test_prepare_records_carry_roles(self, tmp_path):
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base))
+            None, EngineConfig(shards=2, journal_path=base))
         eng.insert(0, 1)
         eng.flush()
         eng.close()
@@ -339,14 +338,14 @@ class TestShutdownOrdering:
     def test_missing_shard_journal_fails_loudly(self, tmp_path):
         base = str(tmp_path / "j")
         eng = ShardedEngine(
-            None, EngineConfig(backend="sim", shards=2, journal_path=base))
+            None, EngineConfig(shards=2, journal_path=base))
         eng.insert(0, 1)
         eng.flush()
         eng.close()
         os.unlink(shard_paths(base, 2)[1])
         with pytest.raises(FileNotFoundError):
             ShardedEngine.from_journals(
-                base, EngineConfig(backend="sim", shards=2))
+                base, EngineConfig(shards=2))
 
 
 class TestSeededRouterFaults:
@@ -359,7 +358,7 @@ class TestSeededRouterFaults:
             base = str(tmp_path / f"j-{tag}")
             eng = ShardedEngine(
                 None,
-                EngineConfig(backend="sim", shards=2, journal_path=base,
+                EngineConfig(shards=2, journal_path=base,
                              seed=13, cross_group=2,
                              faults=FaultSpec(crash_rate=0.05,
                                               max_crashes=1)),

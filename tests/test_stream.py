@@ -14,7 +14,7 @@ from repro.service import Engine, EngineConfig
 
 class TestBuffering:
     def test_homogeneous_run_buffers(self):
-        eng = Engine(DynamicGraph([(0, 1)]), num_workers=2)
+        eng = Engine(DynamicGraph([(0, 1)]))
         eng.insert(1, 2)
         eng.insert(2, 3)
         assert eng.pending_ops() == 2
@@ -24,7 +24,7 @@ class TestBuffering:
         assert eng.graph.has_edge(2, 3)
 
     def test_kind_switch_flushes(self):
-        eng = Engine(DynamicGraph([(0, 1)]), num_workers=2)
+        eng = Engine(DynamicGraph([(0, 1)]))
         eng.insert(1, 2)
         eng.remove(0, 1)  # different kind on a different edge -> cut
         assert eng.graph.has_edge(1, 2)
@@ -33,7 +33,7 @@ class TestBuffering:
         assert not eng.graph.has_edge(0, 1)
 
     def test_opposite_op_cancels(self):
-        eng = Engine(DynamicGraph([(0, 1)]), num_workers=2)
+        eng = Engine(DynamicGraph([(0, 1)]))
         eng.insert(1, 2)
         eng.remove(2, 1)  # cancels the queued insert
         assert eng.pending_ops() == 0
@@ -42,13 +42,13 @@ class TestBuffering:
         assert eng.epoch == 0
 
     def test_duplicate_same_kind_coalesces(self):
-        eng = Engine(DynamicGraph([(0, 1)]), num_workers=2)
+        eng = Engine(DynamicGraph([(0, 1)]))
         eng.insert(1, 2)
         eng.insert(2, 1)
         assert eng.pending_ops() == 1
 
     def test_auto_flush_at_max_batch(self):
-        eng = Engine(DynamicGraph(), num_workers=2, max_batch=3)
+        eng = Engine(DynamicGraph(), max_batch=3)
         eng.insert(0, 1)
         eng.insert(1, 2)
         eng.insert(2, 3)
@@ -56,7 +56,7 @@ class TestBuffering:
         assert eng.graph.num_edges == 3
 
     def test_validation(self):
-        eng = Engine(DynamicGraph([(0, 1)]), num_workers=2)
+        eng = Engine(DynamicGraph([(0, 1)]))
         codes = [eng.insert(0, 1).error["code"],
                  eng.remove(5, 6).error["code"],
                  eng.insert(3, 3).error["code"]]
@@ -66,7 +66,7 @@ class TestBuffering:
             EngineConfig(max_batch=0)
 
     def test_flush_returns_and_clears_reports(self):
-        eng = Engine(DynamicGraph(), num_workers=2)
+        eng = Engine(DynamicGraph())
         eng.insert(0, 1)
         done = eng.flush()
         assert len(done) == 1 and done[0].epoch == 1
@@ -78,7 +78,7 @@ class TestCorrectness:
     def test_random_mixed_stream_matches_bz(self, seed):
         rng = random.Random(seed)
         base = erdos_renyi(50, 120, seed=seed)
-        eng = Engine(DynamicGraph(base), num_workers=4, max_batch=17)
+        eng = Engine(DynamicGraph(base), max_batch=17)
         present = set(base)
         universe = [(u, v) for u in range(50) for v in range(u + 1, 50)]
         for _ in range(300):
@@ -99,7 +99,7 @@ class TestCorrectness:
         assert {e for e in eng.graph.edges()} == present
 
     def test_core_queries_after_flush(self):
-        eng = Engine(DynamicGraph([(0, 1), (1, 2)]), num_workers=2)
+        eng = Engine(DynamicGraph([(0, 1), (1, 2)]))
         eng.insert(0, 2)
         eng.flush()
         assert eng.core(0) == 2

@@ -1,10 +1,11 @@
-"""Differential: the same trace *file* replayed on the direct and sim
-monolith backends and on the process-sharded backend must converge —
-identical final cores everywhere, byte-identical journal digests where
-there is a single journal to compare, and digest-stable double runs.
+"""Differential: the same trace *file* replayed on a direct monolith and
+on the process-sharded backend must converge — identical final cores,
+pinned journal digests and digest-stable double runs.  The committed
+batches of each bundled trace's journal, fed to the simulated OurI/OurR
+and to the direct OI/OR kernel, give equal cores after every batch.
 Replays are lossless (no SLO deadlines): deadline drops are
-backend-timing-dependent by design, so they are exactly what a
-bit-identity check must exclude."""
+timing-dependent by design, so they are exactly what a bit-identity
+check must exclude."""
 
 import hashlib
 import json
@@ -12,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.maintainer import DirectOrderMaintainer
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.parallel.batch import ParallelOrderMaintainer
 from repro.service import Engine, EngineConfig
+from repro.service.engine import apply_batch
 from repro.service.sharding import ShardedEngine
 from repro.traffic import Trace, generate_trace, replay
 from repro.traffic.driver import cores_digest
@@ -23,9 +27,8 @@ LOSSLESS = {"update": None, "query": None}
 TRACES = Path(__file__).resolve().parent.parent / "examples" / "traces"
 BUNDLED = sorted(p.name for p in TRACES.glob("*.jsonl"))
 
-#: journal digests of the lossless direct replays of the bundled traces.
-#: Cut points do not depend on the clock here (``max_delay=None``) and
-#: the WAL carries no timings, so the sim backend writes the same bytes.
+#: journal digests of the lossless direct replays of the bundled traces
+#: (cut points do not depend on the clock here: ``max_delay=None``)
 BUNDLED_JOURNAL_DIGESTS = {
     "diurnal.jsonl":
         "d602ac71fdce2112c79a2207196a4fad871c436b079dabc4aaf59bab947f53f0",
@@ -40,8 +43,8 @@ BUNDLED_JOURNAL_DIGESTS = {
 #: the direct kernel's OM order after an engine-mode replay of the bundled
 #: uniform trace with checkpoints every 8 epochs, and the journal those
 #: checkpoints land in.  The sequential OI/OR breaks order ties unlike the
-#: simulated OurI/OurR (same cores, different order), so these differ
-#: from the sim backend's and pin the direct kernel's tie-breaking.
+#: simulated OurI/OurR (same cores, different order), so these pin the
+#: direct kernel's tie-breaking.
 DIRECT_ORDER_DIGEST = (
     "7e404fb3904a56641e8e05c03f7bdf878dfde1f40f03616c09a20bacf69f0d0f")
 DIRECT_CHECKPOINTED_JOURNAL_DIGEST = (
@@ -57,15 +60,16 @@ def trace_file(tmp_path_factory):
     return path, digest
 
 
-def replay_monolith(path, backend, mode="model"):
+def replay_monolith(path, mode="model"):
+    """Lossless replay on a direct monolith; returns the report and the
+    (closed) engine."""
     trace = Trace.load(path)
-    cfg = dict(max_batch=8, max_delay=None, num_workers=4,
-               backend=backend, seed=13)
+    cfg = dict(max_batch=8, max_delay=None, seed=13)
     if mode == "engine":
         cfg["window"] = trace.header.window
     eng = Engine(DynamicGraph(), EngineConfig(**cfg))
     with eng:
-        return replay(eng, trace, mode=mode, slo=LOSSLESS)
+        return replay(eng, trace, mode=mode, slo=LOSSLESS), eng
 
 
 def test_trace_digest_matches_file(trace_file):
@@ -73,38 +77,32 @@ def test_trace_digest_matches_file(trace_file):
     assert Trace.load(path).digest() == digest
 
 
-def test_sim_and_direct_monoliths_bit_identical(trace_file):
-    path, _ = trace_file
-    sim = replay_monolith(path, "sim")
-    direct = replay_monolith(path, "direct")
-    assert sim.invariant_ok and direct.invariant_ok
-    assert sim.final_cores == direct.final_cores
-    assert sim.cores_digest == direct.cores_digest
-    # the WAL carries no timings: identical admission order + identical
-    # cuts => byte-identical journals even across kernels
-    assert sim.journal_digest == direct.journal_digest
-
-
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_trace_direct_matches_sim(name):
+    """Kernel-level differential: the direct engine's committed batches,
+    replayed from its journal on the simulated OurI/OurR and on the
+    direct OI/OR, give equal cores after every batch."""
     path = TRACES / name
-    runs = {b: (replay_monolith(path, b), replay_monolith(path, b))
-            for b in ("direct", "sim")}
-    for a, b in runs.values():
-        assert a.invariant_ok and b.invariant_ok
-        assert a.cores_digest == b.cores_digest
-        assert a.journal_digest == b.journal_digest
-    direct, sim = runs["direct"][0], runs["sim"][0]
-    assert direct.final_cores == sim.final_cores
-    assert direct.cores_digest == sim.cores_digest
-    assert direct.journal_digest == sim.journal_digest
-    assert direct.journal_digest == BUNDLED_JOURNAL_DIGESTS[name]
+    (rep, eng), (again, _) = replay_monolith(path), replay_monolith(path)
+    assert rep.invariant_ok and again.invariant_ok
+    assert rep.cores_digest == again.cores_digest
+    assert rep.journal_digest == again.journal_digest
+    assert rep.journal_digest == BUNDLED_JOURNAL_DIGESTS[name]
+    journal = eng.journal.replay()
+    assert journal.committed
+    kernels = [cls(DynamicGraph(list(journal.initial_edges)))
+               for cls in (ParallelOrderMaintainer, DirectOrderMaintainer)]
+    for batch in journal.committed:
+        for m in kernels:
+            apply_batch(m, batch.kind, list(batch.edges))
+        assert kernels[0].cores() == kernels[1].cores(), batch.epoch
+    assert kernels[1].cores() == eng.cores()
 
 
-def checkpointed_replay(backend):
+def checkpointed_replay():
     trace = Trace.load(TRACES / "uniform.jsonl")
     eng = Engine(DynamicGraph(), EngineConfig(
-        max_batch=8, max_delay=None, seed=13, backend=backend,
+        max_batch=8, max_delay=None, seed=13,
         window=trace.header.window, checkpoint_every=8))
     with eng:
         rep = replay(eng, trace, mode="engine", slo=LOSSLESS)
@@ -113,10 +111,8 @@ def checkpointed_replay(backend):
 
 
 def test_checkpointed_direct_replay_pins_om_order():
-    direct, order = checkpointed_replay("direct")
-    again, order_again = checkpointed_replay("direct")
-    sim, _ = checkpointed_replay("sim")
-    assert direct.final_cores == sim.final_cores
+    direct, order = checkpointed_replay()
+    again, order_again = checkpointed_replay()
     assert order == order_again == DIRECT_ORDER_DIGEST
     assert direct.journal_digest == again.journal_digest
     assert direct.journal_digest == DIRECT_CHECKPOINTED_JOURNAL_DIGEST
@@ -124,31 +120,29 @@ def test_checkpointed_direct_replay_pins_om_order():
 
 def test_double_run_digest_stable_per_backend(trace_file):
     path, digest = trace_file
-    for backend in ("direct", "sim"):
-        a = replay_monolith(path, backend)
-        b = replay_monolith(path, backend)
-        assert a.trace_digest == b.trace_digest == digest
-        assert a.cores_digest == b.cores_digest
-        assert a.journal_digest == b.journal_digest
+    (a, _), (b, _) = replay_monolith(path), replay_monolith(path)
+    assert a.trace_digest == b.trace_digest == digest
+    assert a.cores_digest == b.cores_digest
+    assert a.journal_digest == b.journal_digest
 
 
 def test_engine_mode_matches_model_mode(trace_file):
     path, _ = trace_file
-    model = replay_monolith(path, "sim", mode="model")
-    engine = replay_monolith(path, "sim", mode="engine")
+    model, _ = replay_monolith(path, mode="model")
+    engine, _ = replay_monolith(path, mode="engine")
     assert engine.final_cores == model.final_cores
     assert engine.cores_digest == model.cores_digest
 
 
 def test_process_sharded_matches_monolith(trace_file):
     path, digest = trace_file
-    mono = replay_monolith(path, "sim")
+    mono, _ = replay_monolith(path)
 
     def sharded_run():
         trace = Trace.load(path)
         eng = ShardedEngine(DynamicGraph(), EngineConfig(
             shards=2, backend="process", max_batch=8, max_delay=None,
-            num_workers=2, seed=13))
+            seed=13))
         with eng:
             return replay(eng, trace, mode="model", slo=LOSSLESS)
 
