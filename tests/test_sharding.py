@@ -10,6 +10,7 @@ import pytest
 from repro.core.decomposition import core_decomposition
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.graph.interning import ShardedInterner
+from repro.parallel.batch import ParallelOrderMaintainer
 from repro.service.engine import Engine, EngineConfig
 from repro.service.journal import EdgeJournal
 from repro.service.requests import (
@@ -49,6 +50,39 @@ def mono_cores(ops, init=()):
     cores = dict(eng.maintainer.cores())
     eng.close()
     return cores
+
+
+def sim_mono_cores(ops, init=(), num_workers=4):
+    """Cores of one simulated-parallel kernel fed the trace as maximal
+    runs of same-kind ops, each run one batch.  Ops invalid against the
+    graph so far are dropped, as the engine quarantines them."""
+    present = {canonical_edge(u, v) for u, v in init}
+    valid = []
+    for op, u, v in ops:
+        e = canonical_edge(u, v)
+        if (op == "insert") == (e in present):
+            continue
+        if op == "insert":
+            present.add(e)
+        else:
+            present.discard(e)
+        valid.append((op, u, v))
+    ops = valid
+    m = ParallelOrderMaintainer(DynamicGraph(list(init)),
+                                num_workers=num_workers)
+    i = 0
+    while i < len(ops):
+        kind = ops[i][0]
+        j = i
+        while j < len(ops) and ops[j][0] == kind:
+            j += 1
+        batch = [(u, v) for _, u, v in ops[i:j]]
+        if kind == "insert":
+            m.insert_edges(batch)
+        else:
+            m.remove_edges(batch)
+        i = j
+    return dict(m.cores())
 
 
 class TestRouting:
@@ -215,6 +249,22 @@ class TestForeignInvariants:
 
 
 class TestDifferential:
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_sim_matches_monolith(self, shards):
+        """The sharded direct engine's stitched cores equal those of one
+        simulated-parallel kernel fed the same trace in batches."""
+        init = [(i, i + 1) for i in range(0, 30, 2)]
+        ops = update_stream(7, 48, 220)
+        oracle = sim_mono_cores(ops, init)
+        eng = ShardedEngine(DynamicGraph(list(init)),
+                            EngineConfig(backend="direct", shards=shards))
+        for op, u, v in ops:
+            getattr(eng, op)(u, v)
+        eng.flush()
+        assert eng.cores() == oracle
+        eng.check()
+        eng.close()
+
     @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_direct_matches_monolith(self, shards):
         init = [(i, i + 1) for i in range(0, 30, 2)]
