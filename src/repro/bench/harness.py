@@ -762,6 +762,31 @@ def run_scheduling(
     }
 
 
+#: ops between the full global core-map reads of the interleaved sharding
+#: leg: a final-stitch-only run never pays the router's stitch in-trace
+SHARDING_READ_EVERY = 500
+
+
+def _sharding_leg(make, trace, read_every: Optional[int]
+                  ) -> Tuple[float, List]:
+    """Build an engine with ``make``, drive ``trace``, and read the full
+    core map after a flush every ``read_every`` ops (``None``: only at
+    the end).  Returns the wall-clock of the whole leg and every map
+    read."""
+    t0 = time.perf_counter()
+    eng = make()
+    reads = []
+    for i, (op, u, v) in enumerate(trace, 1):
+        getattr(eng, op)(u, v)
+        if read_every and i % read_every == 0:
+            eng.flush()
+            reads.append(eng.cores())
+    eng.flush()
+    reads.append(eng.cores())
+    eng.close()
+    return time.perf_counter() - t0, reads
+
+
 def run_sharding(
     num_vertices: int = 1200,
     ops: int = 12000,
@@ -782,11 +807,14 @@ def run_sharding(
     * a :class:`~repro.service.sharding.ShardedEngine` on the process
       backend with ``shards`` OS-process workers,
 
-    Wall-clock is best of
-    ``repeats`` (the box is noisy; min is the stable statistic).  Every
-    repeat also checks the stitched core map is **bit-identical** to the
-    single engine's — the differential guarantee the speedup must not
-    buy its way out of.
+    twice: once reading the global core map only at the end (the
+    headline ``speedup``), and once flushing and reading it every
+    :data:`SHARDING_READ_EVERY` ops (``speedup_interleaved``, which
+    charges the sharded leg the router stitch a serving read pays).
+    Wall-clock is best of ``repeats`` (the box is noisy; min is the
+    stable statistic).  Every repeat also checks each stitched core map
+    read is **bit-identical** to the single engine's at the same point —
+    the differential guarantee the speedup must not buy its way out of.
 
     A second, smaller pass exercises the 2PC crash windows: for every
     router crash point the run is re-driven with an injected
@@ -796,7 +824,8 @@ def run_sharding(
     decomposition of the recovered edge set.
 
     The headline ``speedup`` is monolith/sharded wall-clock; ``ok``
-    requires bit-identity everywhere and every crash window recovered.
+    requires bit-identity at every read and every crash window
+    recovered.
     """
     import os
     import shutil
@@ -813,31 +842,24 @@ def run_sharding(
         if u % shards != v % shards
     )
 
-    mono_walls: List[float] = []
-    shard_walls: List[float] = []
+    def mono():
+        return Engine(DynamicGraph())
+
+    def sharded():
+        return ShardedEngine(DynamicGraph(),
+                             EngineConfig(backend="process", shards=shards))
+
+    #: read cadence -> (monolith walls, sharded walls)
+    walls: Dict[Optional[int], Tuple[List[float], List[float]]] = {
+        None: ([], []), SHARDING_READ_EVERY: ([], [])}
     identical = True
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        mono = Engine(DynamicGraph())
-        for op, u, v in trace:
-            getattr(mono, op)(u, v)
-        mono.flush()
-        mono_cores = dict(mono.maintainer.cores())
-        mono.close()
-        mono_walls.append(time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        sharded = ShardedEngine(
-            DynamicGraph(),
-            EngineConfig(backend="process", shards=shards),
-        )
-        for op, u, v in trace:
-            getattr(sharded, op)(u, v)
-        sharded.flush()
-        shard_cores = sharded.cores()
-        sharded.close()
-        shard_walls.append(time.perf_counter() - t0)
-        identical = identical and shard_cores == mono_cores
+        for every, (mono_walls, shard_walls) in walls.items():
+            wall, mono_reads = _sharding_leg(mono, trace, every)
+            mono_walls.append(wall)
+            wall, shard_reads = _sharding_leg(sharded, trace, every)
+            shard_walls.append(wall)
+            identical = identical and shard_reads == mono_reads
 
     # ----- crash windows: recovery must match a fresh single engine --
     crash_trace = uniform_update_trace(
@@ -885,8 +907,10 @@ def run_sharding(
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    mono_wall = min(mono_walls)
-    shard_wall = min(shard_walls)
+    mono_walls, shard_walls = walls[None]
+    mono_wall, shard_wall = min(mono_walls), min(shard_walls)
+    mono_iwalls, shard_iwalls = walls[SHARDING_READ_EVERY]
+    mono_iwall, shard_iwall = min(mono_iwalls), min(shard_iwalls)
     recovered_ok = all(r["identical"] for r in recoveries.values())
     crash_seen = any(r["crashed"] for r in recoveries.values())
     return {
@@ -900,6 +924,12 @@ def run_sharding(
         "shard_wall_s": shard_wall,
         "mono_walls_s": mono_walls,
         "shard_walls_s": shard_walls,
+        "read_every": SHARDING_READ_EVERY,
+        "mono_interleaved_wall_s": mono_iwall,
+        "shard_interleaved_wall_s": shard_iwall,
+        "mono_interleaved_walls_s": mono_iwalls,
+        "shard_interleaved_walls_s": shard_iwalls,
+        "speedup_interleaved": mono_iwall / max(shard_iwall, 1e-9),
         "bit_identical": identical,
         "crash_recoveries": recoveries,
         "crash_windows_exercised": crash_seen,

@@ -334,8 +334,9 @@ def render_failover(cell: Mapping) -> str:
 
 def render_sharding(cell: Mapping) -> str:
     """Render one ``run_sharding`` cell (see ``repro.bench.harness``):
-    the scale-out wall-clock comparison, the bit-identity verdict, and
-    one line per exercised 2PC crash window."""
+    the scale-out wall-clock comparisons (final read only, then
+    interleaved reads), the bit-identity verdict, and one line per
+    exercised 2PC crash window."""
     verdict = "OK" if cell["ok"] else "FAILED"
     lines = [
         (
@@ -348,6 +349,12 @@ def render_sharding(cell: Mapping) -> str:
             f"direct monolith {cell['mono_wall_s']:.3f} s  "
             f"process sharded {cell['shard_wall_s']:.3f} s  "
             f"-> {cell['speedup']:.2f}x"
+        ),
+        (
+            f"with a full core-map read every {cell['read_every']} ops: "
+            f"direct monolith {cell['mono_interleaved_wall_s']:.3f} s  "
+            f"process sharded {cell['shard_interleaved_wall_s']:.3f} s  "
+            f"-> {cell['speedup_interleaved']:.2f}x"
         ),
         (
             f"verdict: {verdict}  bit-identical {cell['bit_identical']}  "

@@ -9,6 +9,10 @@ and removals.
 the serving engine drives (``insert_edges``/``remove_edges`` returning a
 :class:`BatchResult`): the engine's default ``"direct"`` backend.
 
+:class:`EdgeSetMaintainer` — that batch surface with no kernel behind
+it: validation, faults and the edge set only (the sharded engine's
+shards, whose router keeps the cores).
+
 :class:`TraversalMaintainer` — the sequential Traversal baseline (TI/TR,
 [27]): keeps only core numbers.
 
@@ -29,6 +33,7 @@ checkpoint payload and its restore), as does the simulated parallel
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.boundary import Boundary
@@ -48,6 +53,7 @@ Edge = Tuple[Vertex, Vertex]
 __all__ = [
     "OrderMaintainer",
     "DirectOrderMaintainer",
+    "EdgeSetMaintainer",
     "TraversalMaintainer",
     "OrderFacade",
     "BatchResult",
@@ -272,6 +278,42 @@ class SerialPolicy:
         return Schedule(policy=self.name, assignments=[list(edges)])
 
 
+def _run_direct(plane, pairs, n: int, step) -> Tuple[DirectReport, list]:
+    """The direct batch loop shared by :class:`DirectOrderMaintainer`
+    and :class:`EdgeSetMaintainer`: ``step(u, v)`` applies one edge and
+    returns its ``InsertStats``/``RemoveStats``; the fault plane is
+    consulted before each step, and each edge is charged
+    ``DIRECT_UNIT * (1 + |V+| + |V*|)``.  ``n`` is the batch size a
+    crash message reports."""
+    report = DirectReport()
+    stats = []
+    if plane is not None:
+        plane.begin_run()
+    work = 0.0
+    for u, v in pairs:
+        if plane is not None:
+            fault = plane.decide(0, "tick")
+            if fault is not None:
+                if fault[0] == CRASH:
+                    report.crashes += 1
+                    report.total_work = work
+                    report.makespan = work + report.spin_time
+                    raise BatchCrashed(
+                        f"direct batch crashed after {len(stats)} of "
+                        f"{n} edge(s); state corrupt",
+                        report=report,
+                    )
+                if fault[0] == STALL:
+                    report.stalls_injected += 1
+                    report.spin_time += fault[1] * DIRECT_UNIT
+        s = step(u, v)
+        stats.append(s)
+        work += DIRECT_UNIT * (1 + len(s.v_plus) + len(s.v_star))
+    report.total_work = work
+    report.makespan = work + report.spin_time
+    return report, stats
+
+
 class DirectOrderMaintainer(OrderFacade):
     """The serving engine's kernel: each homogeneous batch is applied
     edge by edge with the sequential OI/OR on one :class:`OrderState`.
@@ -311,34 +353,74 @@ class DirectOrderMaintainer(OrderFacade):
         return self._apply(order_remove_edge, edges)
 
     def _apply(self, kernel, edges: Sequence[Edge]) -> BatchResult:
-        state, plane = self.state, self.faults
-        report = DirectReport()
-        stats = []
-        if plane is not None:
-            plane.begin_run()
-        work = 0.0
-        for u, v in self.boundary.edges_in(edges):
-            if plane is not None:
-                fault = plane.decide(0, "tick")
-                if fault is not None:
-                    if fault[0] == CRASH:
-                        report.crashes += 1
-                        report.total_work = work
-                        report.makespan = work + report.spin_time
-                        raise BatchCrashed(
-                            f"direct batch crashed after {len(stats)} of "
-                            f"{len(edges)} edge(s); state corrupt",
-                            report=report,
-                        )
-                    if fault[0] == STALL:
-                        report.stalls_injected += 1
-                        report.spin_time += fault[1] * DIRECT_UNIT
-            s = kernel(state, u, v)
-            stats.append(s)
-            work += DIRECT_UNIT * (1 + len(s.v_plus) + len(s.v_star))
-        report.total_work = work
-        report.makespan = work + report.spin_time
+        report, stats = _run_direct(
+            self.faults, self.boundary.edges_in(edges), len(edges),
+            partial(kernel, self.state))
         return BatchResult(report=report, stats=self.boundary.stats_out(stats))
+
+
+class EdgeSetMaintainer:
+    """The :class:`DirectOrderMaintainer` batch surface over a bare edge
+    set: batches are validated and applied to the graph, and nothing
+    else is kept — no cores, no k-order.
+
+    A shard of the sharded engine (:mod:`repro.service.sharding`) runs
+    this: the router maintains the global cores over the union graph, so
+    a shard only needs its edge set.  Each batch reports one empty
+    ``InsertStats``/``RemoveStats`` per edge and is charged
+    ``DIRECT_UNIT`` per edge; ``faults`` acts exactly as on the direct
+    kernel.  :meth:`cores` is empty and :meth:`core` raises ``KeyError``,
+    so a :class:`~repro.service.snapshots.SnapshotStore` over it commits
+    no slots.  A checkpoint stores no cores, and its ``order`` lists the
+    present vertices (no k-order), so a vertex whose last edge went
+    survives a restart.
+    """
+
+    def __init__(self, graph: DynamicGraph, faults=None) -> None:
+        self.graph = graph
+        self.policy = SerialPolicy()
+        self.faults = faults
+
+    @classmethod
+    def from_checkpoint(cls, graph: DynamicGraph, cores: Dict[Vertex, int],
+                        order: Sequence[Vertex], **kwargs):
+        """Restore from a checkpoint: the edges plus every vertex
+        ``order`` names; ``cores`` (and any k-order meaning of ``order``,
+        in checkpoints written by an order maintainer) is ignored."""
+        for u in order:
+            graph.add_vertex(u)
+        return cls(graph, **kwargs)
+
+    def insert_edges(self, edges: Sequence[Edge]) -> BatchResult:
+        """Validate and add an insertion batch."""
+        validate_batch(self.graph, edges, inserting=True)
+        return self._apply(self.graph.add_edge, InsertStats, edges)
+
+    def remove_edges(self, edges: Sequence[Edge]) -> BatchResult:
+        """Validate and drop a removal batch."""
+        validate_batch(self.graph, edges, inserting=False)
+        return self._apply(self.graph.remove_edge, RemoveStats, edges)
+
+    def _apply(self, mutate, empty, edges: Sequence[Edge]) -> BatchResult:
+        def step(u, v):
+            mutate(u, v)
+            return empty()
+
+        report, stats = _run_direct(self.faults, edges, len(edges), step)
+        return BatchResult(report=report, stats=stats)
+
+    def core(self, u: Vertex) -> int:
+        raise KeyError(u)
+
+    def cores(self) -> Dict[Vertex, int]:
+        return {}
+
+    def order_sequence(self) -> List[Vertex]:
+        """The present vertices: what a checkpoint's ``order`` holds."""
+        return list(self.graph.vertices())
+
+    def check(self) -> None:
+        """An edge set has no invariant beyond the graph's own."""
 
 
 class TraversalMaintainer:

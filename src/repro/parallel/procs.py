@@ -11,18 +11,18 @@ Protocol
 --------
 The router speaks length-one request/reply frames over a
 ``multiprocessing.Pipe``: ``(op, *args)`` in, ``("ok", payload)`` or
-``("err", repr)`` back.  Workers host the same direct
-:class:`~repro.service.engine.Engine` as in-process shards (so
-process-mode latencies and deadlines are in the same cost units, and as
-reproducible) and keep the same surface
-as :class:`~repro.service.sharding.LocalShard`, so the router is
-backend-agnostic.
+``("err", repr)`` back.  A worker wraps the same
+:class:`~repro.service.sharding.ShardEngine` as an in-process shard in
+a :class:`~repro.service.sharding.LocalShard` and answers each frame
+with the same-named method of it, so the two backends share one shard
+surface (and process-mode latencies and deadlines are in the same cost
+units, and as reproducible) and the router is backend-agnostic.
 
-The epoch stitch needs only plain RPCs: ``deltas`` returns the shard's
-last epoch together with the edge batches it committed since a given
-epoch (one frame, so the two always agree), and ``edges``/``present``
-hand over the full edge list and vertex set when the router rebuilds
-its global maintainer.
+The epoch stitch needs only plain RPCs: ``edge_deltas`` returns the
+shard's last epoch together with the edge batches it committed since a
+given epoch (one frame, so the two always agree), and
+``edges``/``present_vertices`` hand over the full edge list and vertex
+set when the router rebuilds its global maintainer.
 
 One part of the protocol is not simple RPC — **shutdown** (the
 torn-tail rule): ``quiesce`` makes the worker close its journal, reply
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.faults.plane import FaultPlane
 
@@ -60,101 +60,55 @@ def fork_context():
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _shard_edges(eng) -> List:
-    """Every edge the shard co-owns: maintained plus foreign-tracked."""
-    return list(eng.graph.edges()) + eng.foreign_edges()
-
-
-def _shard_vertices(eng) -> List:
-    """Present vertices including endpoints only foreign edges name."""
-    out = list(eng.graph.vertices())
-    seen = set(out)
-    for u, v in eng.foreign_edges():
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-    return out
+#: frames a worker answers with the same-named
+#: :class:`~repro.service.sharding.LocalShard` method of its shard
+_FRAMES = frozenset({
+    "submit", "flush", "take_completed", "prepare_group", "commit_group",
+    "abort_group", "epoch", "pending_ops", "edges", "present_vertices",
+    "edge_deltas", "metrics", "check",
+})
 
 
 def _shard_worker(conn, shard_id: int, spec: Dict,
                   init_edges, recover_from: Optional[str],
                   foreign=()) -> None:
-    """Worker main loop: host one shard engine, serve pipe frames."""
+    """Worker main loop: host one shard engine behind a
+    :class:`~repro.service.sharding.LocalShard`, serve pipe frames."""
     # imported here as well as lazily usable under spawn: the module is
     # re-imported in the child, and repro.service must finish importing
     # before we construct engines
     from repro.graph.dynamic_graph import DynamicGraph
-    from repro.service.engine import Engine
+    from repro.service.sharding import LocalShard, ShardEngine
 
     cfg = spec["config"]
     fs = spec["fault_spec"]
     if fs is not None and fs.active:
         cfg = replace(cfg, faults=FaultPlane(fs, seed=spec["fault_seed"]))
     if recover_from is not None:
-        eng = Engine.from_journal(recover_from, cfg)
+        eng = ShardEngine.from_journal(recover_from, cfg)
     else:
-        eng = Engine(DynamicGraph(list(init_edges or [])), cfg,
-                     foreign=list(foreign or ()))
+        eng = ShardEngine(DynamicGraph(list(init_edges or [])), cfg,
+                          foreign=list(foreign or ()))
+    shard = LocalShard(shard_id, eng)
 
     while True:
         try:
             msg = conn.recv()
         except EOFError:  # router died / abandoned us
             break
-        op = msg[0]
+        op, args = msg[0], msg[1:]
         try:
-            if op == "submit":
-                out = eng.submit(msg[1])
+            if op in _FRAMES:
+                out = getattr(shard, op)(*args)
             elif op == "submit_many":
-                out = [eng.submit(r) for r in msg[1]]
-            elif op == "flush":
-                out = eng.flush()
-            elif op == "take":
-                out = eng.take_completed()
-            elif op == "prepare":
-                out = eng.prepare_cross(*msg[1:])
-            elif op == "commit2":
-                out = eng.commit_cross(msg[1])
-            elif op == "abort2":
-                out = eng.abort_cross(msg[1])
-            elif op == "prepare_group":
-                out = [eng.prepare_cross(tx, kind, edge, rid, shard_id,
-                                         peer, role=role)
-                       for tx, kind, edge, rid, peer, role in msg[1]]
-            elif op == "commit_group":
-                out = eng.commit_cross_group(msg[1])
-            elif op == "abort_group":
-                for tx in msg[1]:
-                    eng.abort_cross(tx)
-                out = None
-            elif op == "epoch":
-                out = eng.epoch
-            elif op == "pending":
-                out = eng.pending_ops()
-            elif op == "edges":
-                out = _shard_edges(eng)
-            elif op == "present":
-                out = _shard_vertices(eng)
-            elif op == "deltas":
-                out = eng.snapshots.edge_deltas(msg[1])
-            elif op == "metrics":
-                out = eng.metrics()
-            elif op == "check":
-                out = eng.check()
+                out = [shard.submit(r) for r in args[0]]
             elif op == "quiesce":
-                payload = {
-                    "epoch": eng.epoch,
-                    "edges": eng._graph_edges(),
-                    "cores": eng.maintainer.cores(),
-                    "order": eng.maintainer.order_sequence(),
-                    "foreign": eng.foreign_edges(),
-                }
-                eng.close()
+                payload = shard.quiesce()
+                shard.close()
                 conn.send(("ok", payload))
                 break
             elif op == "abandon":
-                eng.journal.close()
+                shard.abandon()
                 conn.send(("ok", None))
                 break
             else:
@@ -222,19 +176,9 @@ class ProcessShard:
         return self.rpc("flush")
 
     def take_completed(self):
-        return self.rpc("take")
+        return self.rpc("take_completed")
 
     # -- 2PC participant ----------------------------------------------
-    def prepare_cross(self, tx, kind, edge, rid, peer, role="apply"):
-        return self.rpc("prepare", tx, kind, edge, rid, self.shard_id,
-                        peer, role)
-
-    def commit_cross(self, tx):
-        return self.rpc("commit2", tx)
-
-    def abort_cross(self, tx):
-        return self.rpc("abort2", tx)
-
     def prepare_group(self, items):
         return self.rpc("prepare_group", items)
 
@@ -249,16 +193,16 @@ class ProcessShard:
         return self.rpc("epoch")
 
     def pending_ops(self):
-        return self.rpc("pending")
+        return self.rpc("pending_ops")
 
     def edges(self):
         return self.rpc("edges")
 
     def present_vertices(self):
-        return self.rpc("present")
+        return self.rpc("present_vertices")
 
     def edge_deltas(self, since):
-        return self.rpc("deltas", since)
+        return self.rpc("edge_deltas", since)
 
     def metrics(self):
         return self.rpc("metrics")
@@ -282,9 +226,7 @@ class ProcessShard:
         from repro.service.journal import EdgeJournal
 
         j = EdgeJournal.load(self.journal_path)
-        j.log_checkpoint(payload["epoch"], payload["edges"],
-                         payload["cores"], payload["order"],
-                         foreign=payload.get("foreign", ()))
+        j.log_checkpoint(**payload)
         j.close()
 
     def close(self) -> None:

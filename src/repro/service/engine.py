@@ -231,6 +231,10 @@ class Engine:
         first record is the initial graph.
     """
 
+    #: the batch maintainer every build, restart and recovery of this
+    #: engine uses (a shard engine swaps in a kernel-less one)
+    maintainer_class = DirectOrderMaintainer
+
     def __init__(
         self,
         graph: DynamicGraph,
@@ -259,11 +263,11 @@ class Engine:
             self.maintainer = _maintainer
             self.maintainer.faults = self.faults
         else:
-            self.maintainer = DirectOrderMaintainer(graph, faults=self.faults)
+            self.maintainer = self.maintainer_class(graph, faults=self.faults)
         self.snapshots = SnapshotStore(self.maintainer, epoch0=_epoch0)
         #: cross-shard edges this engine co-owns but does NOT maintain:
         #: the coordinator shard (owner of the canonical first endpoint)
-        #: applies them to its order maintainer; this engine only tracks
+        #: applies them to its maintainer; this engine only tracks
         #: them for validation and adjacency stitching.
         self._foreign: set = {canonical_edge(*e) for e in foreign}
         if journal is not None:
@@ -855,29 +859,34 @@ class Engine:
         """Tracked-but-not-maintained cross-shard edges (sorted)."""
         return sorted(self._foreign, key=repr)
 
+    def checkpoint_payload(self) -> Dict[str, Any]:
+        """The committed state as :meth:`EdgeJournal.log_checkpoint
+        <repro.service.journal.EdgeJournal.log_checkpoint>` arguments:
+        epoch, edges, the maintainer's cores and order, foreign set."""
+        m = self.maintainer
+        return {"epoch": self.epoch, "edges": self._graph_edges(),
+                "cores": m.cores(), "order": m.order_sequence(),
+                "foreign": self.foreign_edges()}
+
     def _maybe_checkpoint(self, epoch: int) -> None:
         ce = self.config.checkpoint_every
         if ce is None or epoch % ce != 0:
             return
-        self.journal.log_checkpoint(
-            epoch, self._graph_edges(), self.maintainer.cores(),
-            self.maintainer.order_sequence(),
-            foreign=self.foreign_edges(),
-        )
+        self.journal.log_checkpoint(**self.checkpoint_payload())
 
-    @staticmethod
-    def _base_maintainer(replay: Replay) -> Tuple[DirectOrderMaintainer, int]:
+    @classmethod
+    def _base_maintainer(cls, replay: Replay) -> Tuple[Any, int]:
         """A *clean* (fault-free) maintainer at the replay's starting
         point: the latest checkpoint if there is one, else the initial
         graph.  Returns it with the epoch it represents."""
         ck = replay.checkpoint
         if ck is not None:
-            m = DirectOrderMaintainer.from_checkpoint(
+            m = cls.maintainer_class.from_checkpoint(
                 DynamicGraph(list(ck.edges)), dict(ck.cores), list(ck.order)
             )
             return m, ck.epoch
         graph = DynamicGraph(list(replay.initial_edges))
-        return DirectOrderMaintainer(graph), 0
+        return cls.maintainer_class(graph), 0
 
     def _recover(self) -> None:
         """Discard the (presumed corrupt) maintainer and rebuild the last
@@ -976,8 +985,8 @@ class Engine:
         durable ``prepare`` record (the redo information) and parks the
         transaction; a validation failure returns the error code and
         writes nothing.  ``role`` records which side of the edge this
-        engine is: the coordinator (``"apply"``) runs order maintenance
-        at commit; the peer (``"track"``) only updates its foreign
+        engine is: the coordinator (``"apply"``) applies the edge to its
+        maintainer and commits an epoch; the peer (``"track"``) only updates its foreign
         adjacency set."""
         err = self.validate_cross(kind, edge)
         if err is not None:
@@ -989,22 +998,15 @@ class Engine:
         self._seen_ids.add(rid)
         return None
 
-    def commit_cross(self, tx: str) -> int:
-        """Phase 2: apply the prepared transaction and publish it.
-
-        Returns the epoch the edge committed as on this shard.  The
-        ``commit2`` record written here is, on the coordinator, the
-        protocol's decision record.
-        """
-        return self._apply_cross_batch([self._prepared.pop(tx)])
-
     def commit_cross_group(self, txs: List[str]) -> int:
         """Phase 2 for a whole cross-shard *group*: apply every decided
         edge as one maintainer batch, publish one epoch, then write one
         ``commit2`` per transaction carrying that shared epoch (replay
-        folds the run back into one batch).  The router guarantees the
-        group is kind-homogeneous and duplicate-free — the same
-        contract the micro-batcher gives local batches."""
+        folds the run back into one batch) and return that epoch.  The
+        ``commit2`` records are, on the coordinator, the protocol's
+        decision records.  The router guarantees the group is
+        kind-homogeneous and duplicate-free — the same contract the
+        micro-batcher gives local batches."""
         return self._apply_cross_batch([self._prepared.pop(tx) for tx in txs])
 
     def abort_cross(self, tx: str) -> None:

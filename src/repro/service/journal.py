@@ -125,8 +125,8 @@ class PreparedTx:
     id: str                 #: the originating request id
     shard: int              #: the shard this journal belongs to
     peer: int               #: the other participant shard
-    #: ``"apply"`` — this shard is the edge's coordinator and runs order
-    #: maintenance on it; ``"track"`` — this shard is the peer owner and
+    #: ``"apply"`` — this shard is the edge's coordinator and holds it
+    #: in its edge set; ``"track"`` — this shard is the peer owner and
     #: only records the edge in its foreign adjacency (durability +
     #: stitch adjacency, no maintainer work; see ``docs/sharding.md``)
     role: str = "apply"
@@ -134,7 +134,8 @@ class PreparedTx:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A full engine snapshot: graph + cores + the exact OM order."""
+    """A full engine snapshot: graph + cores + the exact OM order (an
+    edge-set shard's has no cores, and its order is its vertex list)."""
 
     epoch: int
     edges: Tuple[Edge, ...]
@@ -244,7 +245,9 @@ class EdgeJournal:
         """Durable snapshot: graph + cores + full OM order at ``epoch``.
 
         ``cores`` is stored as a list of pairs ordered by ``order`` so the
-        record is canonical without requiring sortable vertex ids.
+        record is canonical without requiring sortable vertex ids.  An
+        edge-set shard passes no cores, and its ``order`` only lists its
+        vertices (:class:`~repro.core.maintainer.EdgeSetMaintainer`).
         ``foreign`` snapshots a shard's foreign adjacency (omitted when
         empty) — without it, recovery from the checkpoint fast-path
         would lose peer-owner replicas committed before the checkpoint.
@@ -252,7 +255,7 @@ class EdgeJournal:
         rec = {
             "t": REC_CHECKPOINT, "epoch": epoch,
             "edges": _edges_out(edges),
-            "cores": [[u, cores[u]] for u in order],
+            "cores": [[u, cores[u]] for u in order] if cores else [],
             "order": list(order),
             "foreign": _edges_out(foreign),
         }
@@ -277,7 +280,7 @@ class EdgeJournal:
         ``tx`` (a single ``kind`` op on the cross-shard ``edge``) and can
         redo the apply from this record alone (``docs/sharding.md``).
         ``role`` records which side of the edge this shard holds:
-        ``"apply"`` (coordinator, runs order maintenance) or ``"track"``
+        ``"apply"`` (coordinator, applies the edge) or ``"track"``
         (peer owner, foreign adjacency only)."""
         u, v = edge
         self.append({

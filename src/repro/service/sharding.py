@@ -5,11 +5,12 @@
 * **Topology.**  A :class:`ShardedEngine` owns a
   :class:`~repro.graph.interning.ShardedInterner` (stable content-hash
   placement: a vertex's shard never depends on arrival order, so it
-  survives crash recovery) and N shard engines, each a complete
-  :class:`~repro.service.engine.Engine` — own maintainer, own batcher,
-  own snapshot store, own write-ahead journal (``<path>.shard<i>``).
-  Shards are hosted in-process (``direct`` backend) or in real OS
-  processes (``process`` backend, :mod:`repro.parallel.procs`), one
+  survives crash recovery) and N shard engines.  Each is a
+  :class:`ShardEngine` that holds an edge set and runs no OI/OR.  It
+  keeps its own batcher, batch validation, fault plane, 2PC votes,
+  commit ring and write-ahead journal (``<path>.shard<i>``).  Shards
+  are hosted in-process (``direct`` backend) or in real OS processes
+  (``process`` backend, :mod:`repro.parallel.procs`), one
   shared-nothing event loop each.
 
 * **Routing.**  An update whose endpoints hash to the same shard is
@@ -21,11 +22,12 @@
   of cross edges (coalescing and annihilating duplicates exactly like
   the micro-batcher), then scatters one ``prepare`` frame per involved
   shard, gathers the votes, and scatters ``commit2``.  Each edge has
-  exactly **one maintainer**: the coordinator shard — the owner of the
-  canonical first endpoint — applies it to its order maintainer
-  (role ``"apply"``); the peer owner journals the same prepare/commit
-  pair but only updates a lightweight *foreign adjacency set*
-  (role ``"track"``) used for validation votes and the stitch.  A
+  exactly **one owning shard**: the coordinator shard — the owner of
+  the canonical first endpoint — adds it to its edge set and commits
+  it as an epoch (role ``"apply"``); the peer owner journals the same
+  prepare/commit pair but only updates a lightweight *foreign
+  adjacency set* (role ``"track"``) used for validation votes and the
+  stitch.  A
   prepare resolved by neither ``commit2`` nor ``abort2`` is *dangling*;
   the recovery resolution pass (:meth:`ShardedEngine.from_journals`)
   commits it iff any shard holds the transaction's ``commit2``, else
@@ -34,10 +36,9 @@
 
 * **Epoch stitching.**  Each shard publishes its own epoch sequence;
   the sharded engine's global epoch is their sum and a query answers
-  against one consistent *stitched* view: per-shard core numbers are
-  only lower bounds of global coreness (a subgraph can only shrink a
-  core), so the router keeps exact global cores itself.  It holds the
-  union graph under a sequential OI/OR
+  against one consistent *stitched* view.  Shards hold no cores: the
+  router keeps the exact global cores, the only ones any query reads.
+  It holds the union graph under a sequential OI/OR
   :class:`~repro.core.maintainer.OrderMaintainer` and, at each view,
   applies the edge batches every shard committed since the router's
   last epoch vector (:meth:`SnapshotStore.edge_deltas
@@ -62,9 +63,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.core.maintainer import OrderMaintainer
+from repro.core.maintainer import EdgeSetMaintainer, OrderMaintainer
 from repro.faults.plane import CRASH, ROUTER_SALT, derive_plane
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.graph.interning import ShardedInterner
@@ -86,7 +88,8 @@ from repro.service.snapshots import SnapshotStore, SnapshotView, answer_query
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
 
-__all__ = ["ShardedEngine", "LocalShard", "RouterCrashed", "shard_paths"]
+__all__ = ["ShardedEngine", "ShardEngine", "LocalShard", "RouterCrashed",
+           "shard_paths"]
 
 #: the 2PC steps the router can crash at (fault injection / tests), in
 #: protocol order: after the coordinator prepare, after both prepares,
@@ -111,6 +114,31 @@ def shard_paths(base: Optional[str], nshards: int) -> List[Optional[str]]:
     return [f"{base}.shard{i}" for i in range(nshards)]
 
 
+class ShardEngine(Engine):
+    """One shard's engine: an :class:`Engine` over an
+    :class:`~repro.core.maintainer.EdgeSetMaintainer`.
+
+    A shard keeps only what the router needs from it: its edge set,
+    batch validation, its fault plane, its journal, its 2PC votes and
+    the commit ring that :meth:`SnapshotStore.edge_deltas
+    <repro.service.snapshots.SnapshotStore.edge_deltas>` feeds to the
+    stitch.  It runs no OI/OR — the router maintains the global cores —
+    so its snapshot store and its checkpoints hold no cores.
+    """
+
+    maintainer_class = EdgeSetMaintainer
+
+    def edges(self) -> List[Edge]:
+        """Edges this shard co-owns: maintained plus foreign-tracked."""
+        return list(self.graph.edges()) + self.foreign_edges()
+
+    def present_vertices(self) -> List[Vertex]:
+        """Present vertices, including endpoints only foreign edges
+        name."""
+        ends = (x for e in self.foreign_edges() for x in e)
+        return list(dict.fromkeys(chain(self.graph.vertices(), ends)))
+
+
 class LocalShard:
     """In-process shard handle: direct calls into a shard's engine.
 
@@ -119,16 +147,13 @@ class LocalShard:
     which speaks the same surface over a pipe.
     """
 
-    def __init__(self, shard_id: int, engine: Engine) -> None:
+    def __init__(self, shard_id: int, engine: ShardEngine) -> None:
         self.shard_id = shard_id
         self.engine = engine
 
     # -- op plane ------------------------------------------------------
     def submit(self, request: Request) -> Response:
         return self.engine.submit(request)
-
-    def submit_many(self, requests: List[Request]) -> List[Response]:
-        return [self.engine.submit(r) for r in requests]
 
     def flush(self) -> List[Response]:
         return self.engine.flush()
@@ -137,17 +162,6 @@ class LocalShard:
         return self.engine.take_completed()
 
     # -- 2PC participant ----------------------------------------------
-    def prepare_cross(self, tx: str, kind: str, edge: Edge, rid: str,
-                      peer: int, role: str = "apply") -> Optional[str]:
-        return self.engine.prepare_cross(tx, kind, edge, rid,
-                                         self.shard_id, peer, role=role)
-
-    def commit_cross(self, tx: str) -> int:
-        return self.engine.commit_cross(tx)
-
-    def abort_cross(self, tx: str) -> None:
-        self.engine.abort_cross(tx)
-
     def prepare_group(self, items: List[Tuple]) -> List[Optional[str]]:
         """Prepare a group of cross txs; one vote per item, in order."""
         return [self.engine.prepare_cross(tx, kind, edge, rid,
@@ -169,8 +183,7 @@ class LocalShard:
         return self.engine.pending_ops()
 
     def edges(self) -> List[Edge]:
-        """Edges this shard co-owns: maintained plus foreign-tracked."""
-        return list(self.engine.graph.edges()) + self.engine.foreign_edges()
+        return self.engine.edges()
 
     def edge_deltas(self, since: int):
         """``(epoch, batches)`` committed after ``since``; see
@@ -178,14 +191,7 @@ class LocalShard:
         return self.engine.snapshots.edge_deltas(since)
 
     def present_vertices(self) -> List[Vertex]:
-        out = list(self.engine.graph.vertices())
-        seen = set(out)
-        for u, v in self.engine.foreign_edges():
-            for x in (u, v):
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-        return out
+        return self.engine.present_vertices()
 
     def metrics(self) -> Dict:
         return self.engine.metrics()
@@ -198,20 +204,10 @@ class LocalShard:
         """Stop the shard's worker and return its checkpoint payload.
         In-process shards have no worker to join — the engine is
         already quiescent once this (synchronous) call runs."""
-        eng = self.engine
-        return {
-            "epoch": eng.epoch,
-            "edges": eng._graph_edges(),
-            "cores": eng.maintainer.cores(),
-            "order": eng.maintainer.order_sequence(),
-            "foreign": eng.foreign_edges(),
-        }
+        return self.engine.checkpoint_payload()
 
     def final_checkpoint(self, payload: Dict) -> None:
-        self.engine.journal.log_checkpoint(
-            payload["epoch"], payload["edges"], payload["cores"],
-            payload["order"], foreign=payload.get("foreign", ()),
-        )
+        self.engine.journal.log_checkpoint(**payload)
 
     def close(self) -> None:
         self.engine.close()
@@ -268,8 +264,6 @@ class ShardedEngine:
         cfg = config or EngineConfig()
         if overrides:
             cfg = replace(cfg, **overrides)
-        if cfg.shards < 1:
-            raise ValueError("shards must be >= 1")
         if cfg.window is not None:
             # engine-native expiry cannot see cross-shard edges (they
             # bypass the shard batcher via 2PC); windowed traffic on a
@@ -326,9 +320,9 @@ class ShardedEngine:
                 sv = self.interner.shard_of(e[1])
                 init[su].append(e)
                 if sv != su:
-                    # single-maintainer rule: the coordinator (owner of
-                    # the canonical first endpoint) maintains the edge,
-                    # the peer only tracks it
+                    # single-owner rule: the coordinator (owner of the
+                    # canonical first endpoint) holds the edge, the peer
+                    # only tracks it
                     finit[sv].append(e)
         self.shards = self._build_shards(init, finit)
 
@@ -336,9 +330,10 @@ class ShardedEngine:
     # construction helpers
     # ------------------------------------------------------------------
     def _shard_config(self, shard: int) -> EngineConfig:
-        """One shard's engine config: a direct monolith with its own
+        """One shard's engine config: a direct engine with its own
         journal file and its own derived fault plane.  A process shard's
-        worker hosts the same direct engine in its own OS process."""
+        worker hosts the same :class:`ShardEngine` in its own OS
+        process."""
         cfg = self.config
         paths = shard_paths(cfg.journal_path, self.nshards)
         return replace(
@@ -360,9 +355,9 @@ class ShardedEngine:
                 for s in range(self.nshards)
             ]
         return [
-            LocalShard(s, Engine(DynamicGraph(init[s]),
-                                 self._shard_config(s),
-                                 foreign=finit[s]))
+            LocalShard(s, ShardEngine(DynamicGraph(init[s]),
+                                      self._shard_config(s),
+                                      foreign=finit[s]))
             for s in range(self.nshards)
         ]
 
@@ -634,7 +629,7 @@ class ShardedEngine:
         a same-kind duplicate coalesces onto the queued edge, an
         opposite-kind op annihilates the pair (both sides commit as a
         net no-op), a kind conflict on a *fresh* edge cuts the pending
-        group first.  A full group (``max_batch`` edges) commits through
+        group first.  A full group (``_group_cap`` edges) commits through
         one grouped prepare/commit round per shard — one maintainer
         batch and one epoch per shard instead of an edge at a time.
         """
@@ -809,7 +804,7 @@ class ShardedEngine:
         committed since the router's vector, applies each shard's
         batches in epoch order with OI/OR, and commits the touched
         vertices as global epoch ``sum(vec)``.  Every edge has exactly
-        one maintaining shard (owner or coordinator), so the
+        one owning shard (owner or coordinator), so the
         interleaving of shards cannot produce an invalid operation and
         the resulting cores do not depend on it.  The first view, a
         restart, and any shard whose delta ring no longer reaches back
@@ -879,7 +874,8 @@ class ShardedEngine:
 
         Three phases (``docs/sharding.md``):
 
-        1. every shard restarts via :meth:`Engine.from_journal`
+        1. every shard restarts via :meth:`ShardEngine.from_journal
+           <repro.service.engine.Engine.from_journal>`
            (checkpoint fast-path + committed replay, cross-shard
            ``commit2`` batches included);
         2. the router-side **resolution pass** settles every dangling
@@ -904,11 +900,11 @@ class ShardedEngine:
                 raise FileNotFoundError(p)
         router = cls(None, cfg, _shards=[])
         # phase 1: per-shard restart (in-process, fault-free replay)
-        engines: List[Engine] = []
+        engines: List[ShardEngine] = []
         replays = []
         for s in range(cfg.shards):
             shard_cfg = replace(router._shard_config(s), faults=None)
-            eng = Engine.from_journal(paths[s], shard_cfg)
+            eng = ShardEngine.from_journal(paths[s], shard_cfg)
             engines.append(eng)
             replays.append(eng.journal.replay())
         # phase 2: resolution pass over dangling prepares

@@ -6,10 +6,11 @@ quiesce-join-checkpoint shutdown sequence."""
 import pytest
 
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
-from repro.parallel.procs import ProcessShard, _shard_edges, _shard_vertices
-from repro.service.engine import Engine, EngineConfig
+from repro.parallel.procs import ProcessShard
+from repro.service.engine import EngineConfig
 from repro.service.journal import REC_CHECKPOINT, EdgeJournal
 from repro.service.requests import STATUS_COMMITTED, Request
+from repro.service.sharding import ShardEngine
 from repro.service.snapshots import DELTA_EPOCHS
 
 
@@ -66,15 +67,15 @@ class TestWorkerProtocol:
     def test_engine_error_is_forwarded_not_fatal(self):
         sh = start_shard()
         with pytest.raises(RuntimeError, match="shard 0"):
-            sh.rpc("commit2", "tx-that-never-prepared")
+            sh.commit_group(["tx-that-never-prepared"])
         assert sh.check() is None or True  # still responsive
         sh.close()
 
     def test_cross_prepare_commit_roundtrip(self):
         sh = start_shard()
-        vote = sh.prepare_cross("t0", "+", (0, 1), "r0", peer=1)
-        assert vote is None   # None = yes-vote; error code = refusal
-        sh.commit_cross("t0")
+        votes = sh.prepare_group([("t0", "+", (0, 1), "r0", 1, "apply")])
+        assert votes == [None]   # None = yes-vote; error code = refusal
+        sh.commit_group(["t0"])
         assert canonical_edge(0, 1) in {canonical_edge(u, v)
                                         for u, v in sh.edges()}
         sh.close()
@@ -173,14 +174,14 @@ class TestEdgeDeltas:
 
 class TestWorkerHelpers:
     def test_shard_edges_appends_foreign(self):
-        eng = Engine(DynamicGraph([(0, 1)]), foreign=[(5, 6)])
-        assert _shard_edges(eng) == list(eng.graph.edges()) + [
+        eng = ShardEngine(DynamicGraph([(0, 1)]), foreign=[(5, 6)])
+        assert eng.edges() == list(eng.graph.edges()) + [
             canonical_edge(5, 6)]
         eng.close()
 
     def test_shard_vertices_dedups_foreign_endpoints(self):
-        eng = Engine(DynamicGraph([(0, 1)]), foreign=[(1, 2)])
-        vs = _shard_vertices(eng)
+        eng = ShardEngine(DynamicGraph([(0, 1)]), foreign=[(1, 2)])
+        vs = eng.present_vertices()
         assert sorted(vs) == [0, 1, 2]
         assert len(vs) == 3
         eng.close()

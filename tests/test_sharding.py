@@ -18,7 +18,12 @@ from repro.service.requests import (
     STATUS_PENDING,
     STATUS_QUARANTINED,
 )
-from repro.service.sharding import LocalShard, ShardedEngine, shard_paths
+from repro.service.sharding import (
+    LocalShard,
+    ShardedEngine,
+    ShardEngine,
+    shard_paths,
+)
 from repro.service.snapshots import DELTA_EPOCHS
 
 
@@ -374,7 +379,7 @@ class TestSurface:
         eng.close()
 
     def test_local_shard_present_vertices_include_foreign_endpoints(self):
-        sh = LocalShard(1, Engine(DynamicGraph(), foreign=[(0, 1)]))
+        sh = LocalShard(1, ShardEngine(DynamicGraph(), foreign=[(0, 1)]))
         assert set(sh.present_vertices()) == {0, 1}
         sh.close()
 

@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+from repro.core.maintainer import OrderMaintainer
+from repro.faults.plane import FaultSpec
 from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
 from repro.service.engine import Engine, EngineConfig
 from repro.service.journal import (
@@ -379,3 +381,104 @@ class TestSeededRouterFaults:
             rec = recovered_matches_fresh_decomposition(
                 str(tmp_path / "j-a"), 2)
             rec.close()
+
+
+class TestSeededShardFaults:
+    @pytest.mark.parametrize("backend,seed,router_crash", [
+        ("direct", 1, False), ("direct", 2, True), ("process", 1, False)])
+    def test_shard_crashes_recover_on_edge_set_shards(
+            self, backend, seed, router_crash, tmp_path):
+        """Seeded ``config.faults`` crash edge-set shard batches; each
+        shard rebuilds its edge set from its journal and retries.  The
+        stitch equals a single engine fed the trace — or, when the same
+        seed also crashes the router, the recovered journals do."""
+        base = str(tmp_path / "j")
+        eng = ShardedEngine(None, EngineConfig(
+            backend=backend, shards=2, seed=seed, max_batch=8,
+            checkpoint_every=3, journal_path=base,
+            faults=FaultSpec(crash_rate=0.03)))
+        ops = update_stream(4, 24, 120)
+        try:
+            drive(eng, ops)
+            eng.flush()
+        except RouterCrashed:
+            assert router_crash
+        assert sum(sh.metrics()["faults"]["recoveries"]
+                   for sh in eng.shards) > 0
+        if router_crash:
+            eng.abandon()
+            recovered_matches_fresh_decomposition(base, 2).close()
+            return
+        assert eng.cores() == mono_cores(ops)
+        eng.check()
+        eng.close()
+
+
+class TestEdgeSetShards:
+    """Shards hold edge sets and run no OI/OR; the router's stitch is
+    the one kernel an edge runs through."""
+
+    def test_shards_run_no_kernel_and_checkpoint_no_cores(
+            self, tmp_path, monkeypatch):
+        base = str(tmp_path / "j")
+        eng = ShardedEngine(None, EngineConfig(shards=2, journal_path=base))
+        results = []
+        for sh in eng.shards:
+            m = sh.engine.maintainer
+            for name in ("insert_edges", "remove_edges"):
+                def record(edges, _apply=getattr(m, name)):
+                    results.append(_apply(edges))
+                    return results[-1]
+                monkeypatch.setattr(m, name, record)
+        ops = update_stream(6, 32, 160) + [("insert", 90, 91)]
+        drive(eng, ops)
+        eng.flush()
+        eng.remove(90, 91)   # both endpoints stay present, edge-less
+        eng.check()
+        shard_of = eng.interner.shard_of
+        assert any(shard_of(u) != shard_of(v) for _, u, v in ops)
+        stats = [s for r in results for s in r.stats]
+        assert stats and not any(s.v_plus or s.v_star for s in stats)
+        vertices = [list(sh.engine.graph.vertices()) for sh in eng.shards]
+        eng.close()
+        for p, vs in zip(shard_paths(base, 2), vertices):
+            ck = EdgeJournal.load(p).records[-1]
+            assert ck["t"] == REC_CHECKPOINT
+            assert ck["cores"] == [] and ck["order"] == vs
+        rec = ShardedEngine.from_journals(base, EngineConfig(shards=2))
+        assert rec.core(90) == rec.core(91) == 0
+        assert rec.cores() == {**mono_cores(ops[:-1]), 90: 0, 91: 0}
+        rec.check()
+        rec.close()
+
+    def test_journal_with_core_checkpoints_recovers(self, tmp_path):
+        """Shard journals whose checkpoints carry real cores and an OM
+        order (written before shards dropped their kernel) still
+        recover through the checkpoint fast-path."""
+        base = str(tmp_path / "j")
+        eng = ShardedEngine(None, EngineConfig(shards=2, journal_path=base))
+        ops = update_stream(8, 32, 120) + [("insert", 90, 91)]
+        drive(eng, ops)
+        eng.flush()
+        eng.remove(90, 91)
+        eng.flush()
+        epochs = []
+        for sh in eng.shards:
+            shard = sh.engine
+            g = DynamicGraph(shard._graph_edges())
+            for x in shard.graph.vertices():
+                g.add_vertex(x)
+            m = OrderMaintainer(g)
+            shard.journal.log_checkpoint(
+                shard.epoch, shard._graph_edges(), m.cores(),
+                m.order_sequence(), foreign=shard.foreign_edges())
+            epochs.append(shard.epoch)
+        tail = [("insert", 200, 201), ("insert", 200, 202)]
+        drive(eng, tail)
+        eng.flush()
+        eng.abandon()
+        rec = ShardedEngine.from_journals(base, EngineConfig(shards=2))
+        assert [sh.engine.snapshots.min_epoch for sh in rec.shards] == epochs
+        assert rec.cores() == {**mono_cores(ops[:-1] + tail), 90: 0, 91: 0}
+        rec.check()
+        rec.close()
