@@ -90,7 +90,7 @@ class Boundary:
     def core_map_out(self, core) -> dict:
         """Snapshot a core map (slot map or dict) as an external-keyed dict."""
         if not self.translating:
-            return dict(core)
+            return dict(core.items())
         ext = self.interner.external
         return {ext(i): k for i, k in core.items()}
 

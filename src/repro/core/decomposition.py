@@ -10,8 +10,9 @@
   (Definition 3.7): orienting every edge by the produced k-order, the
   number of u's DAG successors.  Note this is *not* the bucket degree at
   peel time: a neighbor peeled at the same degree leaves the bucket degree
-  untouched, so we count successors from final positions, which guarantees
-  the steady-state invariant ``d_out^+[u] <= core[u]``.
+  untouched, so we count u's neighbours still unpeeled when u goes (exactly
+  the ones after it), which guarantees the steady-state invariant
+  ``d_out^+[u] <= core[u]``.
 
 Tie-breaking among equal-degree vertices picks which of the many valid
 k-orders is produced.  The paper tests three strategies (Section 3.1) and
@@ -19,11 +20,18 @@ adopts *small degree first* — among vertices with the same current degree,
 peel the one with the smallest original degree first; we implement all
 three plus FIFO for the ablation benchmark.
 
-The implementation uses a single lazy min-heap keyed by
-``(current_degree, tie_key)``.  The classic bucket array gives O(m); the
-heap gives O(m log n) with far simpler support for tie strategies, and at
-the scales of this reproduction the difference is noise (profiled; see
-``benchmarks/test_ablation_tiebreak.py``).
+The deterministic tie keys (``small-degree-first``, ``large-degree-first``,
+``fifo``) are static, so the vertices are ranked once by
+``(tie_key, index)`` and every queue entry is the single int
+``degree * N + rank``.  The initial entries form one sorted run and the
+entries re-keyed by a degree drop go to an int min-heap; each step takes
+the smaller head of the two, which is the same minimum the lazy tuple heap
+of the textbook version pops, so ``core``, ``order`` and ``d_out`` are
+unchanged while the hot loop compares plain ints and builds no tuples.
+``random`` draws a fresh key on every push and keeps the tuple heap.  On a
+10^5-vertex power-law graph the int peel takes less than half the tuple
+heap's time; the tuple heap lives on in the tests as the oracle
+(``tests/test_decomposition_oracle.py``).
 
 ``park_decomposition`` is a level-synchronous variant in the spirit of
 ParK/Kabir-Madduri (paper Section 2): it peels all vertices of the current
@@ -37,7 +45,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.intgraph import IntGraph
@@ -49,6 +58,7 @@ __all__ = [
     "core_decomposition",
     "core_histogram",
     "park_decomposition",
+    "successor_counts",
     "STRATEGIES",
 ]
 
@@ -105,108 +115,149 @@ def core_decomposition(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     if isinstance(graph, IntGraph):
-        return _core_decomposition_int(graph, strategy, seed)
+        adj = graph.adjacency_lists()
+        verts = list(compress(range(len(adj)), graph.presence_mask()))
+        return _peel(adj, verts, strategy, seed)
     if isinstance(graph, DynamicGraph):
         # Run the array kernel on the wrapped substrate and un-intern the
         # result.  Identity interners (dense-int inputs, the common case)
         # skip the translation entirely.
-        decomp = _core_decomposition_int(graph.ig, strategy, seed)
+        decomp = core_decomposition(graph.ig, strategy, seed)
         interner = graph.interner
         if interner.identity:
             return decomp
-        ext = interner.external
-        return CoreDecomposition(
-            core={ext(u): k for u, k in decomp.core.items()},
-            order=[ext(u) for u in decomp.order],
-            d_out={ext(u): d for u, d in decomp.d_out.items()},
-        )
-    rng = random.Random(seed)
-
-    deg: Dict[Vertex, int] = {u: graph.degree(u) for u in graph.vertices()}
-
-    def tie_key(u: Vertex, i: int) -> Tuple:
-        d0 = deg[u]
-        if strategy == "small-degree-first":
-            return (d0, i)
-        if strategy == "large-degree-first":
-            return (-d0, i)
-        if strategy == "random":
-            return (rng.random(), i)
-        return (i,)  # fifo
-
-    # lazy min-heap of (current_degree, tie_key, vertex)
-    index = {u: i for i, u in enumerate(graph.vertices())}
-    d = dict(deg)
-    heap: List[Tuple] = [(d[u], tie_key(u, index[u]), index[u], u) for u in d]
-    heapq.heapify(heap)
-
-    core: Dict[Vertex, int] = {}
-    order: List[Vertex] = []
-    k = 0
-    removed: set = set()
-    while heap:
-        du, _tk, _idx, u = heapq.heappop(heap)
-        if u in removed or du != d[u]:
-            continue  # stale entry
-        removed.add(u)
-        k = max(k, d[u])
-        core[u] = k
-        order.append(u)
-        for v in graph.neighbors(u):
-            if v not in removed and d[v] > d[u]:
-                d[v] -= 1
-                heapq.heappush(heap, (d[v], tie_key(v, index[v]), index[v], v))
-    position = {u: i for i, u in enumerate(order)}
-    d_out = {
-        u: sum(1 for v in graph.neighbors(u) if position[v] > position[u])
-        for u in order
-    }
-    return CoreDecomposition(core=core, order=order, d_out=d_out)
+        return _external(decomp, interner.tables()[1])
+    # Any other GraphCore substrate: number its vertices in enumeration
+    # order and peel the int adjacency that numbering induces.
+    verts = list(graph.vertices())
+    index = {u: i for i, u in enumerate(verts)}
+    adj = [[index[v] for v in graph.neighbors(u)] for u in verts]
+    return _external(_peel(adj, list(range(len(verts))), strategy, seed), verts)
 
 
-def _core_decomposition_int(
-    graph: IntGraph, strategy: str, seed: int
-) -> CoreDecomposition:
-    """BZ peeling over the array substrate: flat-list degrees/positions,
-    direct adjacency scans, no hashing in the hot loop.
+def _external(decomp: CoreDecomposition, ext: List[Vertex]) -> CoreDecomposition:
+    """``decomp`` over int ids, translated through ``ext`` (id -> vertex)."""
+    return CoreDecomposition(
+        core={ext[u]: k for u, k in decomp.core.items()},
+        order=[ext[u] for u in decomp.order],
+        d_out={ext[u]: d for u, d in decomp.d_out.items()},
+    )
 
-    Produces bit-identical results to the generic path run over the same
-    graph: the heap entries carry the same ``(degree, tie_key, index)``
-    prefixes (``index`` is the vertex's enumeration position, which is
-    unique, so the trailing vertex field never participates in
-    comparisons) and ties therefore resolve identically.  The
-    representation differential tests rely on this.
+
+def successor_counts(adj: Sequence[Sequence[int]], order: List[int]) -> List[int]:
+    """``d_out^+`` of every vertex of ``order``, aligned with it: how many
+    of its neighbours in ``adj`` come later in ``order``."""
+    pos = [0] * len(adj)
+    for i, u in enumerate(order):
+        pos[u] = i
+    at = pos.__getitem__
+    return [sum(map(pos[u].__lt__, map(at, adj[u]))) for u in order]
+
+
+def _peel(adj: Sequence[Sequence[int]], verts: List[int], strategy: str,
+          seed: int) -> CoreDecomposition:
+    """BZ over int adjacency lists; ``verts`` are the present ids in index
+    order (index = position, the last tie key)."""
+    if strategy == "random":
+        order, core = _peel_random(adj, verts, seed)
+        d_out = successor_counts(adj, order)
+    else:
+        order, core, d_out = _peel_static(adj, verts, strategy)
+    return CoreDecomposition(
+        core=dict(zip(order, map(core.__getitem__, order))),
+        order=order,
+        d_out=dict(zip(order, d_out)),
+    )
+
+
+def _peel_static(adj: Sequence[Sequence[int]], verts: List[int],
+                 strategy: str) -> Tuple[List[int], List[int], List[int]]:
+    """The int-keyed peel for the static tie keys.
+
+    ``key[u] = degree * N + rank`` orders vertices exactly as the tuple
+    ``(degree, tie_key, index)`` does, because ``rank`` is the position
+    of ``u`` in the ``(tie_key, index)`` order.  A degree drop lowers the
+    key by ``N``; peeled vertices hold key -1.  Returns the order, the
+    per-slot core numbers and ``d_out^+`` aligned with the order: the
+    neighbours still unpeeled when a vertex goes are exactly the ones
+    after it.
     """
-    rng = random.Random(seed)
-    adj = graph.adjacency_lists()
-    present = graph.presence_mask()
     n = len(adj)
-    verts = [u for u in range(n) if present[u]]
+    deg0 = list(map(len, adj))
+    if strategy == "small-degree-first":
+        by_rank = sorted(verts, key=deg0.__getitem__)
+    elif strategy == "large-degree-first":
+        # reverse=True keeps equal degrees in index order (stable)
+        by_rank = sorted(verts, key=deg0.__getitem__, reverse=True)
+    else:  # fifo
+        by_rank = verts
+    N = len(by_rank)
+    core = [0] * n
+    order: List[int] = []
+    d_out: List[int] = []
+    if not N:
+        return order, core, d_out
+    key = [-1] * n
+    for r, u in enumerate(by_rank):
+        key[u] = deg0[u] * N + r
+    end = (max(deg0) + 1) * N  # above every key
+    run = sorted(key[u] for u in verts)
+    run.append(end)
+    heap = [end]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    add, count = order.append, d_out.append
+    i = 0
+    head = run[0]
+    k = 0
+    while True:
+        if head < heap[0]:
+            x = head
+            i += 1
+            head = run[i]
+        else:
+            x = heappop(heap)
+            if x == end:
+                break
+        du, r = divmod(x, N)
+        u = by_rank[r]
+        if key[u] != x:
+            continue  # stale: u was re-keyed or peeled since
+        key[u] = -1
+        if du > k:
+            k = du
+        core[u] = k
+        add(u)
+        # neighbours of current degree > du drop by one
+        lim = x - r + N
+        later = 0
+        for v in adj[u]:
+            kv = key[v]
+            if kv >= lim:
+                kv -= N
+                key[v] = kv
+                heappush(heap, kv)
+                later += 1
+            elif kv >= 0:
+                later += 1
+        count(later)
+    return order, core, d_out
+
+
+def _peel_random(adj: Sequence[Sequence[int]], verts: List[int],
+                 seed: int) -> Tuple[List[int], List[int]]:
+    """The lazy tuple heap: ``random`` draws a fresh tie key on every
+    push, so its keys cannot be ranked up front."""
+    rng = random.Random(seed)
+    n = len(adj)
     index = [0] * n
     for i, u in enumerate(verts):
         index[u] = i
-    deg0 = [len(a) for a in adj]
-    d = list(deg0)
-
-    if strategy == "small-degree-first":
-        def tie_key(u: int, i: int) -> Tuple:
-            return (deg0[u], i)
-    elif strategy == "large-degree-first":
-        def tie_key(u: int, i: int) -> Tuple:
-            return (-deg0[u], i)
-    elif strategy == "random":
-        def tie_key(u: int, i: int) -> Tuple:
-            return (rng.random(), i)
-    else:  # fifo
-        def tie_key(u: int, i: int) -> Tuple:
-            return (i,)
-
-    heap: List[Tuple] = [(d[u], tie_key(u, index[u]), index[u], u) for u in verts]
+    d = list(map(len, adj))
+    heap: List[Tuple] = [(d[u], rng.random(), index[u], u) for u in verts]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-
     removed = bytearray(n)
-    core_slot = [0] * n
+    core = [0] * n
     order: List[int] = []
     k = 0
     while heap:
@@ -216,22 +267,14 @@ def _core_decomposition_int(
         removed[u] = 1
         if du > k:
             k = du
-        core_slot[u] = k
+        core[u] = k
         order.append(u)
         for v in adj[u]:
             dv = d[v]
             if not removed[v] and dv > du:
                 d[v] = dv - 1
-                heappush(heap, (dv - 1, tie_key(v, index[v]), index[v], v))
-    position = [0] * n
-    for i, u in enumerate(order):
-        position[u] = i
-    d_out = {
-        u: sum(1 for v in adj[u] if position[v] > position[u]) for u in order
-    }
-    return CoreDecomposition(
-        core={u: core_slot[u] for u in order}, order=order, d_out=d_out
-    )
+                heappush(heap, (dv - 1, rng.random(), index[v], v))
+    return order, core
 
 
 def park_decomposition(graph: DynamicGraph) -> Tuple[Dict[Vertex, int], List[List[Vertex]]]:

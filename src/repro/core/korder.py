@@ -27,6 +27,8 @@ either).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.graph.dynamic_graph import DynamicGraph
@@ -93,13 +95,23 @@ class KOrder:
         """
         ko = cls(capacity=capacity)
         ko.core = make_vertex_map(graph, core)
-        ko.items = make_vertex_map(graph)
-        for u in order:
-            ku = ko.core[u]
-            ko._ensure_levels_through(ku)
-            item = OMItem(u)
-            ko.items[u] = item
-            ko.om.insert_tail(item)
+        items = list(map(OMItem, order))
+        ko.items = make_vertex_map(graph, dict(zip(order, items)))
+        # the anchor of level k goes right before the first vertex whose
+        # core reaches k: where the running maximum of the cores does
+        reach = list(accumulate(map(core.__getitem__, order), max))
+        seq: List[OMItem] = []
+        lo = 0
+        for k in range(1, (reach[-1] if reach else 0) + 1):
+            hi = bisect_left(reach, k, lo)
+            seq.extend(items[lo:hi])
+            a = OMItem(_Anchor(k))
+            ko.anchors[k] = a
+            seq.append(a)
+            lo = hi
+        seq.extend(items[lo:])
+        ko.max_level = len(ko.anchors) - 1
+        ko.om.extend(seq)
         return ko
 
     def _ensure_level(self, k: int) -> None:

@@ -37,7 +37,7 @@ from functools import partial
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.boundary import Boundary
-from repro.core.decomposition import core_decomposition
+from repro.core.decomposition import core_decomposition, successor_counts
 from repro.core.korder import KOrder
 from repro.core.order_insert import order_insert_edge
 from repro.core.order_remove import order_remove_edge
@@ -150,24 +150,22 @@ class OrderFacade:
         ``kwargs`` go to the constructor.
         """
         m = cls(DynamicGraph(), **kwargs)
-        for u in order:
-            # isolated vertices (core 0, no incident edges) are in the
-            # order but not in the edge list the graph was rebuilt from
-            graph.add_vertex(u)
+        # isolated vertices (core 0, no incident edges) are in the order
+        # but not in the edge list the graph was rebuilt from
+        graph.add_vertices(order)
         m.boundary = Boundary(graph)
         sub = m.boundary.substrate
-        vin = m.boundary.vertex_in
-        core_in = {vin(u): k for u, k in cores.items()}
-        order_in = [vin(u) for u in order]
+        if m.boundary.translating:
+            to_int = graph.interner.tables()[0].__getitem__
+            core_in = dict(zip(map(to_int, cores), cores.values()))
+            order_in = list(map(to_int, order))
+        else:
+            core_in, order_in = cores, list(order)
         korder = KOrder.from_decomposition(
             core_in, order_in, capacity=kwargs.get("capacity", 64), graph=sub
         )
-        pos = {u: i for i, u in enumerate(order_in)}
-        d_out = {
-            u: sum(1 for v in sub.neighbors(u) if pos[v] > pos[u])
-            for u in order_in
-        }
-        m._adopt_state(OrderState(sub, korder, d_out))
+        d_out = successor_counts(sub.adjacency_lists(), order_in)
+        m._adopt_state(OrderState(sub, korder, dict(zip(order_in, d_out))))
         return m
 
     def _adopt_state(self, state: OrderState) -> None:
@@ -387,8 +385,7 @@ class EdgeSetMaintainer:
         """Restore from a checkpoint: the edges plus every vertex
         ``order`` names; ``cores`` (and any k-order meaning of ``order``,
         in checkpoints written by an order maintainer) is ignored."""
-        for u in order:
-            graph.add_vertex(u)
+        graph.add_vertices(order)
         return cls(graph, **kwargs)
 
     def insert_edges(self, edges: Sequence[Edge]) -> BatchResult:

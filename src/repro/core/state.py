@@ -77,7 +77,7 @@ class OrderState:
         # Storage follows the substrate: flat slots over IntGraph, plain
         # dicts over hashable-id graphs (see repro.graph.storage).
         self.d_out = make_vertex_map(graph, d_out)
-        self.mcd = make_vertex_map(graph, {u: None for u in korder.core})
+        self.mcd = make_vertex_map(graph, dict.fromkeys(korder.core))
         self.t = make_vertex_map(graph)
         # Set by the thread backend to make t-transitions genuinely atomic
         # (the simulator's step-atomicity makes plain ops equivalent).

@@ -26,7 +26,9 @@ testing and the representation benchmark.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional, Set, Tuple
+from itertools import chain, compress, filterfalse
+from operator import eq, not_
+from typing import Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.core import canonical_edge
 from repro.graph.interning import VertexInterner
@@ -87,6 +89,8 @@ class DynamicGraph:
         ignored during bulk construction, mirroring the paper's dataset
         preprocessing ("all of the self-loops and repeated edges are
         removed").
+    vertices:
+        Further vertices to add after the edges (edge-less ones).
 
     Examples
     --------
@@ -100,18 +104,34 @@ class DynamicGraph:
 
     __slots__ = ("ig", "interner")
 
-    def __init__(self, edges: Iterable[Edge] | None = None) -> None:
-        #: The array-backed substrate; maintenance facades run on it
-        #: int-natively.  Treat as read-only outside ``repro``.
-        self.ig = IntGraph()
+    def __init__(self, edges: Iterable[Edge] | None = None,
+                 vertices: Iterable[Vertex] = ()) -> None:
+        edges = [] if edges is None else list(edges)
+        # Distinct, self-loop-free pairs (a journal's or a generator's
+        # edge list) are interned and laid out in bulk; anything else
+        # takes the checked per-edge path.  Both give the same ids
+        # (endpoints in first-seen order) and the same adjacency order.
+        flat = list(chain.from_iterable(edges))
         #: The external-id ↔ int-id mapping shared with :attr:`ig`.
-        self.interner = VertexInterner()
-        if edges is not None:
+        self.interner = VertexInterner(flat)
+        ids = list(map(self.interner.tables()[0].__getitem__, flat))
+        us, vs = ids[0::2], ids[1::2]
+        if (set(map(len, edges)) <= {2} and not any(map(eq, us, vs))
+                and len(set(zip(map(min, us, vs), map(max, us, vs))))
+                == len(edges)):
+            #: The array-backed substrate; maintenance facades run on it
+            #: int-natively.  Treat as read-only outside ``repro``.
+            self.ig = IntGraph.from_canonical_edges(
+                zip(us, vs), n=len(self.interner))
+        else:
+            self.ig = IntGraph()
+            self.interner = VertexInterner()
             for u, v in edges:
                 if u == v:
                     raise ValueError(f"self-loop not allowed: {u!r}")
                 if not self.has_edge(u, v):
                     self.add_edge(u, v)
+        self.add_vertices(vertices)
 
     @classmethod
     def _wrap(cls, ig: IntGraph, interner: VertexInterner) -> "DynamicGraph":
@@ -160,10 +180,23 @@ class DynamicGraph:
         return (ext(i) for i in self.ig.vertices())
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over each undirected edge exactly once (canonical form)."""
-        ext = self.interner.external
-        for i, j in self.ig.edges():
-            yield canonical_edge(ext(i), ext(j))
+        """Iterate over each undirected edge exactly once (canonical form;
+        a snapshot taken at the call)."""
+        pairs = self.ig.edges()
+        if self.interner.identity:
+            return pairs
+        ext = self.interner.tables()[1]
+        return iter([canonical_edge(ext[i], ext[j]) for i, j in pairs])
+
+    def sorted_edges(self) -> List[Edge]:
+        """Each edge once in canonical form, sorted by ``repr``: the edge
+        list a journal records, independent of construction order."""
+        return sorted(self.edges(), key=repr)
+
+    def isolated_vertices(self) -> List[Vertex]:
+        """Present vertices without an edge, sorted by ``repr``."""
+        ext = self.interner.tables()[1]
+        return sorted(map(ext.__getitem__, self.ig.isolated()), key=repr)
 
     def neighbors(self, u: Vertex) -> _NbrView:
         """The adjacency set ``u.adj`` of the paper.
@@ -202,6 +235,18 @@ class DynamicGraph:
     def add_vertex(self, u: Vertex) -> None:
         """Ensure ``u`` exists (idempotent)."""
         self.ig.add_vertex(self.interner.intern(u))
+
+    def add_vertices(self, us: Iterable[Vertex]) -> None:
+        """:meth:`add_vertex` for every ``u`` in ``us``; the ones already
+        present are skipped by C-level passes."""
+        us = list(us)
+        to_int, _ = self.interner.tables()
+        for u in filterfalse(to_int.__contains__, us):
+            self.add_vertex(u)
+        present = self.ig.presence_mask()
+        ids = list(map(to_int.__getitem__, us))
+        for i in compress(ids, map(not_, map(present.__getitem__, ids))):
+            self.ig.add_vertex(i)
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Insert the undirected edge ``(u, v)``.

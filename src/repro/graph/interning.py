@@ -61,13 +61,14 @@ class VertexInterner:
     __slots__ = ("_to_int", "_to_ext", "identity")
 
     def __init__(self, externals: Iterable[Vertex] = ()) -> None:
-        self._to_int: Dict[Vertex, int] = {}
-        self._to_ext: List[Vertex] = []
+        # Bulk: ids are first-seen positions, so the distinct externals in
+        # order are the id table, built and checked at C speed.
+        ext = list(dict.fromkeys(externals))
+        self._to_int: Dict[Vertex, int] = dict(zip(ext, range(len(ext))))
+        self._to_ext: List[Vertex] = ext
         #: True while every interned id is an int equal to its slot index,
         #: letting wrappers skip translation entirely.
-        self.identity = True
-        for x in externals:
-            self.intern(x)
+        self.identity = ext == list(range(len(ext)))
 
     # ------------------------------------------------------------------
     # core mapping
@@ -138,10 +139,9 @@ class VertexInterner:
     @classmethod
     def from_list(cls, externals: Iterable[Vertex]) -> "VertexInterner":
         """Rebuild from :meth:`to_list` output (ids preserved)."""
-        it = cls()
-        for x in externals:
-            it.intern(x)
-        if len(it._to_ext) != len(it._to_int):
+        table = list(externals)
+        it = cls(table)
+        if len(it._to_ext) != len(table):
             raise ValueError("duplicate external id in interner table")
         return it
 

@@ -38,6 +38,8 @@ accessors; everything outside :mod:`repro.graph` must stay behind the
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import lt
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 Edge = Tuple[int, int]
@@ -135,11 +137,18 @@ class IntGraph:
         return (i for i in range(len(present)) if present[i])
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over each undirected edge once, as ``(min, max)`` pairs."""
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        """Iterate over each undirected edge once, as ``(min, max)`` pairs
+        (a snapshot, built by one comprehension rather than a generator
+        step per edge)."""
+        return iter([(u, v) for u, nbrs in enumerate(self._adj)
+                     for v in nbrs if u < v])
+
+    def isolated(self) -> List[int]:
+        """Present vertex ids without an edge, in id order.  One C-level
+        pass: ``len(adj) < present`` holds exactly for a present slot
+        (``True == 1``) with an empty adjacency."""
+        return list(compress(range(len(self._adj)),
+                             map(lt, map(len, self._adj), self._present)))
 
     def neighbors(self, u: int) -> List[int]:
         """The adjacency list ``u.adj`` of the paper (live view).

@@ -24,6 +24,8 @@ storage is underneath.
 from __future__ import annotations
 
 from array import array
+from itertools import compress, repeat
+from operator import is_not
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = ["IntSlotMap", "make_vertex_map", "raw_map", "raw_get", "raw_set",
@@ -81,11 +83,16 @@ class IntSlotMap:
     __slots__ = ("_slots", "_count")
 
     def __init__(self, data: Optional[Mapping[int, Any]] = None, n: int = 0) -> None:
+        if data:
+            # one sizing pass, then plain slot stores (keys are distinct)
+            n = max(n, max(data) + 1)
         self._slots: List[Any] = [_MISSING] * n
         self._count = 0
-        if data is not None:
+        if data:
+            slots = self._slots
             for k, v in data.items():
-                self[k] = v
+                slots[k] = v
+            self._count = len(data)
 
     # -- item access ---------------------------------------------------
     def __getitem__(self, k: int) -> Any:
@@ -120,19 +127,21 @@ class IntSlotMap:
         )
 
     # -- iteration -----------------------------------------------------
+    # C-level passes: ``compress`` keeps the slots that are set
+    def _filled(self) -> Iterator[bool]:
+        return map(is_not, self._slots, repeat(_MISSING))
+
     def __iter__(self) -> Iterator[int]:
-        slots = self._slots
-        return (i for i in range(len(slots)) if slots[i] is not _MISSING)
+        return compress(range(len(self._slots)), self._filled())
 
     def keys(self) -> Iterator[int]:
         return iter(self)
 
     def values(self) -> Iterator[Any]:
-        return (v for v in self._slots if v is not _MISSING)
+        return compress(self._slots, self._filled())
 
     def items(self) -> Iterator[Tuple[int, Any]]:
-        slots = self._slots
-        return ((i, slots[i]) for i in range(len(slots)) if slots[i] is not _MISSING)
+        return compress(enumerate(self._slots), self._filled())
 
     def __len__(self) -> int:
         return self._count

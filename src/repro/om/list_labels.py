@@ -27,7 +27,7 @@ relabel strictly to the right of label 0.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Sequence
 
 __all__ = ["OMItem", "OMGroup", "OMList"]
 
@@ -35,6 +35,25 @@ __all__ = ["OMItem", "OMGroup", "OMList"]
 # while matching the fixed-width labels a C implementation would use.
 _TOP_MAX = 1 << 62
 _BOT_MAX = 1 << 62
+
+
+def _gap_relabels(label: int, size: int, appends: int, sentinel: bool) -> int:
+    """How many times ``appends`` tail inserts into a group of ``size``
+    items whose last bottom label is ``label`` respace the group.
+
+    Each insert halves the gap ``g`` to ``_BOT_MAX``, so
+    ``(g - 1).bit_length()`` inserts fit before the gap drops below 2;
+    the next one respaces the group evenly first (the sentinel keeps
+    label 0)."""
+    relabels = 0
+    while True:
+        fit = (_BOT_MAX - label - 1).bit_length()
+        if appends <= fit:
+            return relabels
+        appends -= fit
+        size += fit
+        relabels += 1
+        label = (size - sentinel) * (_BOT_MAX // (size + 1))
 
 
 class OMItem:
@@ -218,6 +237,96 @@ class OMList:
     def insert_tail(self, y: OMItem) -> None:
         """Append ``y`` as the new last item."""
         self.insert_after(self._last, y)
+
+    def extend(self, items: Sequence[OMItem]) -> None:
+        """Append ``items`` at the tail, in order, in one pass.
+
+        The result is exactly what one :meth:`insert_tail` per item
+        leaves: the same groups, top and bottom labels, ``n_splits``,
+        ``n_rebalances`` and ``version``.  Tail appends fill the last
+        group, and a full group splits keeping its first
+        ``capacity // 2`` items.  So every group that fills up ends with
+        that many items, evenly respaced, and only the last group's
+        labels need the appends replayed one by one.
+        """
+        for y in items:
+            if y.group is not None:
+                raise ValueError("item already in a list")
+        if not items:
+            return
+        cap = self.capacity
+        half = cap // 2
+        g = self._last.group
+        run = list(g.items())
+        start_size = len(run)
+        run.extend(items)
+        cuts = [0]
+        while len(run) - cuts[-1] > cap:
+            cuts.append(cuts[-1] + half)
+        n_new = len(cuts) - 1
+        groups = [g] + [OMGroup(0) for _ in range(n_new)]
+        relabels = 0
+        if n_new:
+            self.n_splits += n_new
+            moved = cap - half
+            # growing to its split, a group may run out of bottom labels
+            # and respace (the fresh sentinel group does once)
+            relabels += _gap_relabels(run[start_size - 1].label, start_size,
+                                      cap - start_size,
+                                      g is self._sentinel_group)
+            relabels += (n_new - 1) * _gap_relabels(
+                moved * (_BOT_MAX // (moved + 1)), moved, half, False)
+            step = _BOT_MAX // (half + 1)
+            for j in range(n_new):
+                self._lay(groups[j], run[cuts[j]:cuts[j + 1]], step)
+                # the split's top label (a rebalance when out of gap)
+                self._insert_group_after(groups[j], groups[j + 1])
+            # the last group starts as the moved upper half, respaced
+            tail_from = cuts[-1] + moved
+            self._lay(groups[-1], run[cuts[-1]:tail_from],
+                      _BOT_MAX // (moved + 1))
+        else:
+            tail_from = start_size
+        relabels += self._append_in_group(groups[-1], run[cuts[-1]:],
+                                          tail_from - cuts[-1])
+        self.version += 2 * (n_new + relabels)
+        self.size += len(items)
+        self._last = run[-1]
+
+    def _lay(self, g: OMGroup, chunk: List[OMItem], step: int = 0) -> None:
+        """Make ``chunk`` the linked items of ``g``; with a ``step``, label
+        them ``step``, ``2 * step``, ... (the sentinel keeps 0)."""
+        g.first, g.last, g.size = chunk[0], chunk[-1], len(chunk)
+        label = 0
+        prev = None
+        for it in chunk:
+            it.group = g
+            it.prev = prev
+            if prev is not None:
+                prev.next = it
+            if step and it is not self._sentinel:
+                label += step
+                it.label = label
+            prev = it
+        prev.next = None
+
+    def _append_in_group(self, g: OMGroup, members: List[OMItem],
+                         placed: int) -> int:
+        """Append ``members[placed:]`` to ``g``, whose items are
+        ``members[:placed]``, as :meth:`insert_after` would: each label
+        halves the gap to the end of the label space, and a group out of
+        gap is respaced first.  Returns how many respacings that took."""
+        relabels = 0
+        label = members[placed - 1].label
+        for i in range(placed, len(members)):
+            if _BOT_MAX - label < 2:
+                relabels += 1
+                self._lay(g, members[:i], _BOT_MAX // (i + 1))
+                label = members[i - 1].label
+            label += (_BOT_MAX - label) // 2
+            members[i].label = label
+        self._lay(g, members)
+        return relabels
 
     def insert_before(self, x: OMItem, y: OMItem) -> None:
         """Insert ``y`` immediately before ``x``."""

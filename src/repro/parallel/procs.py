@@ -71,7 +71,7 @@ _FRAMES = frozenset({
 
 def _shard_worker(conn, shard_id: int, spec: Dict,
                   init_edges, recover_from: Optional[str],
-                  foreign=()) -> None:
+                  foreign=(), isolated=()) -> None:
     """Worker main loop: host one shard engine behind a
     :class:`~repro.service.sharding.LocalShard`, serve pipe frames."""
     # imported here as well as lazily usable under spawn: the module is
@@ -87,7 +87,7 @@ def _shard_worker(conn, shard_id: int, spec: Dict,
     if recover_from is not None:
         eng = ShardEngine.from_journal(recover_from, cfg)
     else:
-        eng = ShardEngine(DynamicGraph(list(init_edges or [])), cfg,
+        eng = ShardEngine(DynamicGraph(init_edges, isolated), cfg,
                           foreign=list(foreign or ()))
     shard = LocalShard(shard_id, eng)
 
@@ -136,13 +136,13 @@ class ProcessShard:
     @classmethod
     def start(cls, shard_id: int, spec: Dict, init_edges,
               recover_from: Optional[str] = None,
-              foreign=()) -> "ProcessShard":
+              foreign=(), isolated=()) -> "ProcessShard":
         ctx = fork_context()
         parent, child = ctx.Pipe()
         proc = ctx.Process(
             target=_shard_worker,
             args=(child, shard_id, spec, init_edges, recover_from,
-                  foreign),
+                  foreign, isolated),
             daemon=True,
             name=f"repro-shard-{shard_id}",
         )

@@ -42,7 +42,7 @@ from dataclasses import replace
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.maintainer import DirectOrderMaintainer
-from repro.graph.dynamic_graph import DynamicGraph, canonical_edge
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.service.engine import EngineConfig, apply_batch
 from repro.service.journal import (
     REC_CHECKPOINT,
@@ -159,7 +159,7 @@ class FollowerEngine:
         if t == REC_INIT:
             if self.maintainer is not None:
                 raise ValueError("second init record in replication stream")
-            self._boot(DynamicGraph([(u, v) for u, v in rec["edges"]]),
+            self._boot(DynamicGraph(rec["edges"], rec.get("isolated", ())),
                        epoch0=0)
         elif t == REC_INTENT:
             if self._pending is not None:
@@ -183,8 +183,8 @@ class FollowerEngine:
             # after record i bit-identical to a cold restart of the
             # first i records — the promotion safety property.
             m = DirectOrderMaintainer.from_checkpoint(
-                DynamicGraph([(u, v) for u, v in rec["edges"]]),
-                {u: k for u, k in rec["cores"]},
+                DynamicGraph(rec["edges"]),
+                dict(rec["cores"]),
                 list(rec["order"]),
             )
             if self.maintainer is None:
@@ -307,8 +307,7 @@ class FollowerEngine:
         """Replayed graph as the journal's canonical sorted edge list."""
         if self.maintainer is None:
             return []
-        g = self.maintainer.graph
-        return sorted((canonical_edge(u, v) for u, v in g.edges()), key=repr)
+        return self.maintainer.graph.sorted_edges()
 
     def verify_matches(self, engine, strict_order: bool = True) -> None:
         """Assert bit-identity with an :class:`~repro.service.engine.Engine`

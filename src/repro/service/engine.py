@@ -277,6 +277,7 @@ class Engine:
             self.journal.log_init(
                 self._graph_edges(),
                 foreign=sorted(self._foreign, key=repr),
+                isolated=self.graph.isolated_vertices(),
             )
         self.batcher = AdaptiveBatcher(
             max_batch=cfg.max_batch,
@@ -852,8 +853,7 @@ class Engine:
     # ------------------------------------------------------------------
     def _graph_edges(self) -> List[Edge]:
         """Committed graph as a canonical sorted edge list (journal form)."""
-        g = self.maintainer.graph
-        return sorted((canonical_edge(u, v) for u, v in g.edges()), key=repr)
+        return self.maintainer.graph.sorted_edges()
 
     def foreign_edges(self) -> List[Edge]:
         """Tracked-but-not-maintained cross-shard edges (sorted)."""
@@ -882,10 +882,10 @@ class Engine:
         ck = replay.checkpoint
         if ck is not None:
             m = cls.maintainer_class.from_checkpoint(
-                DynamicGraph(list(ck.edges)), dict(ck.cores), list(ck.order)
+                DynamicGraph(ck.edges), dict(ck.cores), list(ck.order)
             )
             return m, ck.epoch
-        graph = DynamicGraph(list(replay.initial_edges))
+        graph = DynamicGraph(replay.initial_edges, replay.initial_isolated)
         return cls.maintainer_class(graph), 0
 
     def _recover(self) -> None:

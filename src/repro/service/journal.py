@@ -94,12 +94,10 @@ def _parse(data: bytes) -> Tuple[List[Dict], int]:
     return records, end
 
 
-def _edges_out(edges: Sequence[Edge]) -> List[List[Vertex]]:
-    return [[u, v] for u, v in edges]
-
-
 def _edges_in(edges: Sequence[Sequence[Vertex]]) -> Tuple[Edge, ...]:
-    return tuple((u, v) for u, v in edges)
+    """Record edges (JSON lists, or the tuples an in-memory record keeps)
+    as a tuple of edge tuples."""
+    return tuple(map(tuple, edges))
 
 
 @dataclass(frozen=True)
@@ -151,6 +149,8 @@ class Replay:
     """Everything recovery needs, distilled from the record stream."""
 
     initial_edges: Tuple[Edge, ...] = ()
+    #: vertices of the initial graph without an edge
+    initial_isolated: Tuple[Vertex, ...] = ()
     committed: List[CommittedBatch] = field(default_factory=list)
     checkpoint: Optional[Checkpoint] = None
     #: every request id named by any intent (also aborted ones) — used to
@@ -215,22 +215,28 @@ class EdgeJournal:
             self._fh.flush()
 
     def log_init(self, edges: Sequence[Edge],
-                 foreign: Sequence[Edge] = ()) -> None:
-        """Record the engine's birth graph (epoch 0).  ``foreign`` is the
+                 foreign: Sequence[Edge] = (),
+                 isolated: Sequence[Vertex] = ()) -> None:
+        """Record the engine's birth graph (epoch 0): its edges, and in
+        ``isolated`` its vertices without an edge.  ``foreign`` is the
         birth foreign-adjacency set of a peer-owner shard (cross edges it
-        tracks without maintaining); omitted when empty so monolithic
-        journals keep their historical byte shape."""
-        rec = {"t": REC_INIT, "edges": _edges_out(edges),
-               "foreign": _edges_out(foreign)}
+        tracks without maintaining).  Both are omitted when empty, so
+        journals without them keep their historical byte shape.  The
+        edge tuples are kept as given: JSON writes a tuple as it writes
+        a list."""
+        rec = {"t": REC_INIT, "edges": list(edges),
+               "foreign": list(foreign), "isolated": list(isolated)}
         if not foreign:
             del rec["foreign"]
+        if not isolated:
+            del rec["isolated"]
         self.append(rec)
 
     def log_intent(self, kind: str, edges: Sequence[Edge],
                    ids: Sequence[str], attempt: int = 0) -> None:
         """Write-ahead: about to apply this batch (attempt N)."""
         self.append({
-            "t": REC_INTENT, "kind": kind, "edges": _edges_out(edges),
+            "t": REC_INTENT, "kind": kind, "edges": list(edges),
             "ids": list(ids), "attempt": attempt,
         })
 
@@ -254,10 +260,11 @@ class EdgeJournal:
         """
         rec = {
             "t": REC_CHECKPOINT, "epoch": epoch,
-            "edges": _edges_out(edges),
-            "cores": [[u, cores[u]] for u in order] if cores else [],
+            "edges": list(edges),
+            "cores": list(zip(order, map(cores.__getitem__, order)))
+            if cores else [],
             "order": list(order),
-            "foreign": _edges_out(foreign),
+            "foreign": list(foreign),
         }
         if not foreign:
             del rec["foreign"]
@@ -393,6 +400,7 @@ class EdgeJournal:
             t = rec["t"]
             if t == REC_INIT:
                 out.initial_edges = _edges_in(rec["edges"])
+                out.initial_isolated = tuple(rec.get("isolated", ()))
                 out.foreign = {canonical_edge(u, v)
                                for u, v in rec.get("foreign", ())}
             elif t == REC_INTENT:
@@ -418,7 +426,7 @@ class EdgeJournal:
                 out.checkpoint = Checkpoint(
                     epoch=rec["epoch"],
                     edges=_edges_in(rec["edges"]),
-                    cores=tuple((u, k) for u, k in rec["cores"]),
+                    cores=tuple(map(tuple, rec["cores"])),
                     order=tuple(rec["order"]),
                     foreign=_edges_in(rec.get("foreign", ())),
                 )

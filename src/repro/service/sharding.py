@@ -313,9 +313,9 @@ class ShardedEngine:
             return
         init = [[] for _ in range(self.nshards)]
         finit = [[] for _ in range(self.nshards)]
+        isolated = [[] for _ in range(self.nshards)]
         if graph is not None:
-            for u, v in graph.edges():
-                e = canonical_edge(u, v)
+            for e in graph.edges():
                 su = self.interner.shard_of(e[0])
                 sv = self.interner.shard_of(e[1])
                 init[su].append(e)
@@ -324,7 +324,10 @@ class ShardedEngine:
                     # canonical first endpoint) holds the edge, the peer
                     # only tracks it
                     finit[sv].append(e)
-        self.shards = self._build_shards(init, finit)
+            # an edge-less vertex lives in its owner's birth graph
+            for x in graph.isolated_vertices():
+                isolated[self.interner.shard_of(x)].append(x)
+        self.shards = self._build_shards(init, finit, isolated)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -345,17 +348,18 @@ class ShardedEngine:
         )
 
     def _build_shards(self, init: List[List[Edge]],
-                      finit: List[List[Edge]]) -> List:
+                      finit: List[List[Edge]],
+                      isolated: List[List[Vertex]]) -> List:
         if self.config.backend == "process":
             from repro.parallel.procs import ProcessShard
 
             return [
                 ProcessShard.start(s, self._shard_spec(s), init[s],
-                                   foreign=finit[s])
+                                   foreign=finit[s], isolated=isolated[s])
                 for s in range(self.nshards)
             ]
         return [
-            LocalShard(s, ShardEngine(DynamicGraph(init[s]),
+            LocalShard(s, ShardEngine(DynamicGraph(init[s], isolated[s]),
                                       self._shard_config(s),
                                       foreign=finit[s]))
             for s in range(self.nshards)
@@ -855,10 +859,7 @@ class ShardedEngine:
             # canonical edges; a cross edge is reported by both owners
             edges.update(dict.fromkeys(sh.edges()))
             vertices.update(dict.fromkeys(sh.present_vertices()))
-        g = DynamicGraph(edges)
-        for x in vertices:
-            g.add_vertex(x)
-        return g
+        return DynamicGraph(edges, vertices)
 
     # ------------------------------------------------------------------
     # recovery

@@ -29,6 +29,30 @@ class TestConstruction:
         g = DynamicGraph([("a", "b"), ("b", (1, 2))])
         assert g.has_edge("b", (1, 2))
 
+    @pytest.mark.parametrize("edges", [
+        [(3, 1), (1, 2), (2, 7), (7, 3), (0, 9)],
+        [("b", "a"), ("a", "c"), ("c", (1, 2)), ((1, 2), "z")],
+        [(0, 1), (1, 0), (2, 3)],              # a duplicate: checked path
+        [(i, i + 1 + (i * 7) % 5) for i in range(40)],
+    ])
+    def test_bulk_build_matches_per_edge_adds(self, edges):
+        g = DynamicGraph(edges, vertices=["iso", 1])
+        ref = DynamicGraph()
+        for u, v in edges:
+            if not ref.has_edge(u, v):
+                ref.add_edge(u, v)
+        ref.add_vertex("iso")
+        ref.add_vertex(1)
+        assert g.interner.to_list() == ref.interner.to_list()
+        assert g.ig.adjacency_lists() == ref.ig.adjacency_lists()
+        assert g.sorted_edges() == sorted(ref.edges(), key=repr)
+        assert g.isolated_vertices() == sorted(
+            (x for x in ref.vertices() if ref.degree(x) == 0), key=repr)
+
+    def test_pairs_only(self):
+        with pytest.raises(ValueError):
+            DynamicGraph([(0, 1, 2), (3,)])
+
 
 class TestMutation:
     def test_add_edge_symmetric(self):

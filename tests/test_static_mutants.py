@@ -475,6 +475,39 @@ class TestJournalSchemaMutants:
         }
         assert new_rules_hit(src) == {"RL022"}
 
+    # -- init record: the optional edge-less-vertex field --------------
+
+    _INIT_WRITER = (
+        "    def log_init(self, edges, isolated):\n"
+        "        rec = {'t': REC_B, 'edges': edges, 'isolated': isolated}\n"
+        "        if not isolated:\n"
+        "            del rec['isolated']\n"
+        "        self.append(rec)\n"
+    )
+
+    def _init_journal(self, field):
+        return {
+            "src/repro/service/journal.py": (
+                _JOURNAL_BASE.replace("REC_B = 'b'", "REC_B = 'init'")
+                + self._INIT_WRITER
+                + "    def replay(self):\n"
+                  "        for rec in self.records:\n"
+                  "            t = rec['t']\n"
+                  "            if t == REC_A:\n"
+                  "                out = rec['x']\n"
+                  "            elif t == REC_B:\n"
+                  f"                out = (rec['edges'], rec.get({field!r}, ()))\n"
+                  "        return out\n"
+            ),
+        }
+
+    def test_rl022_init_isolated_field_drift(self):
+        """log_init stores the edge-less vertices as ``isolated``; a
+        reader asking init records for ``vertices`` reads a field never
+        written, and the rebuilt graph would lose them again."""
+        assert new_rules_hit(self._init_journal("vertices")) == {"RL022"}
+        assert new_rules_hit(self._init_journal("isolated")) == set()
+
     def test_pass_skipped_without_writer_zone(self):
         """Linting tests/ alone (no REC_* declarations in the project)
         must not flag every fixture as an unhandled kind."""
