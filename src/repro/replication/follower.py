@@ -300,6 +300,16 @@ class FollowerEngine:
             epoch=view.epoch, latency=self.config.query_cost, **stamp,
         )
 
+    def check(self) -> None:
+        """Assert the replayed maintainer's invariants, its agreement
+        with the snapshot head, and (with a query plane attached) the
+        front buffer's agreement with the head.  No-op before the first
+        init or checkpoint record."""
+        if self.maintainer is None:
+            return
+        self.maintainer.check()
+        self.snapshots.check(self._queryplane)
+
     # ------------------------------------------------------------------
     # promotion support
     # ------------------------------------------------------------------

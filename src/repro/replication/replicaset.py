@@ -400,6 +400,7 @@ class ReplicaSet:
                     f"primary at {self.primary.epoch}"
                 )
             if f.maintainer is not None:
+                f.check()
                 f.verify_matches(self.primary, strict_order=False)
 
     def metrics(self) -> Dict[str, Any]:

@@ -270,13 +270,15 @@ class Engine:
         #: applies them to its maintainer; this engine only tracks
         #: them for validation and adjacency stitching.
         self._foreign: set = {canonical_edge(*e) for e in foreign}
+        #: ``_foreign`` sorted by ``repr``, kept until the set changes
+        self._foreign_sorted: Optional[List[Edge]] = None
         if journal is not None:
             self.journal = journal
         else:
             self.journal = EdgeJournal(cfg.journal_path)
             self.journal.log_init(
                 self._graph_edges(),
-                foreign=sorted(self._foreign, key=repr),
+                foreign=self.foreign_edges(),
                 isolated=self.graph.isolated_vertices(),
             )
         self.batcher = AdaptiveBatcher(
@@ -577,11 +579,11 @@ class Engine:
         )
 
     def check(self) -> None:
-        """Flush, then assert maintainer, snapshot and accounting
-        invariants."""
+        """Flush, then assert maintainer, snapshot, query-plane and
+        accounting invariants."""
         self.flush()
         self.maintainer.check()
-        self.snapshots.check()
+        self.snapshots.check(self._queryplane)
         self.metrics_collector.assert_invariant()
 
     def close(self) -> None:
@@ -856,8 +858,11 @@ class Engine:
         return self.maintainer.graph.sorted_edges()
 
     def foreign_edges(self) -> List[Edge]:
-        """Tracked-but-not-maintained cross-shard edges (sorted)."""
-        return sorted(self._foreign, key=repr)
+        """Tracked-but-not-maintained cross-shard edges (sorted by
+        ``repr``; sorted once per change of the set, not per call)."""
+        if self._foreign_sorted is None:
+            self._foreign_sorted = sorted(self._foreign, key=repr)
+        return list(self._foreign_sorted)
 
     def checkpoint_payload(self) -> Dict[str, Any]:
         """The committed state as :meth:`EdgeJournal.log_checkpoint
@@ -903,9 +908,9 @@ class Engine:
         m.faults = self.faults
         self.maintainer = m
         self.metrics_collector.faults["recoveries"] += 1
-        # the buffers already carry the last committed epoch, but a full
-        # re-publish pins them to the *rebuilt* state — recovery must
-        # never leave the wait-free plane answering from a corrupt map
+        # the buffers already carry the last committed epoch, which
+        # rebind just verified against the rebuilt state; re-publishing
+        # restamps it, and the ring names no slot changed since
         self.snapshots.publish_to(self._queryplane)
 
     @classmethod
@@ -947,6 +952,7 @@ class Engine:
         m.faults = eng.faults
         eng._seen_ids.update(replay.ids)
         eng._foreign = set(replay.foreign)
+        eng._foreign_sorted = None
         for rid in replay.ids:
             if rid.startswith("r") and rid[1:].isdigit():
                 eng._seq = max(eng._seq, int(rid[1:]) + 1)
@@ -1066,6 +1072,7 @@ class Engine:
                 self._foreign.add(p.edge)
             else:
                 self._foreign.discard(p.edge)
+            self._foreign_sorted = None
         for p in preps:
             self.journal.log_commit2(p.tx, epoch)
         n = len(preps)

@@ -216,8 +216,12 @@ class EpochPublisher:
     router).  :meth:`publish` is called at every epoch commit with the
     committed dense core array of the engine's
     :class:`~repro.service.snapshots.SnapshotStore`, whose interner the
-    publisher shares: a commit costs one memcpy of the array into the
-    back buffer plus the vocab entries of newly interned vertices.
+    publisher shares, and the slots the store's commit ring says changed
+    since the last publish.  The back buffer is exactly one publish
+    behind the front, so a commit writes the slots of the previous
+    publish and of this one, O(|V*|), plus the vocab entries of newly
+    interned vertices.  The first publish from an array, the one after
+    it, and the one after a regrow copy the whole array.
 
     The publisher owns every segment it creates and unlinks them in
     :meth:`close`; readers attach by ``ctrl_name`` and never own.
@@ -239,6 +243,10 @@ class EpochPublisher:
         self._active = 0
         self._seq = [0, 0]
         self._last = (NO_EPOCH, NO_EPOCH)  # (epoch, min_epoch) published
+        #: the array the last publish read, and the slots it changed
+        #: (``None``: unknown, so the next publish copies everything)
+        self._source: Optional[array] = None
+        self._changed: Optional[set] = None
         self._ctrl = _Seg(_create(CTRL_BYTES), CTRL_SLOTS, owned=True)
         self._bufs: List[_Seg] = []
         self._vocab: Optional[_Seg] = None
@@ -250,6 +258,28 @@ class EpochPublisher:
     def ctrl_name(self) -> str:
         """The control segment name — the only address readers need."""
         return self._ctrl.shm.name
+
+    @property
+    def epoch(self) -> int:
+        """The last published epoch (:data:`NO_EPOCH` before the first)."""
+        return self._last[0]
+
+    @property
+    def source(self) -> Optional[array]:
+        """The core array the last :meth:`publish` read: a store passes
+        changed slots only when its array is this one."""
+        return self._source
+
+    @property
+    def closed(self) -> bool:
+        return self._ctrl is None
+
+    def front(self) -> Tuple[int, bytes]:
+        """``(epoch, payload bytes)`` of the buffer readers are sent to."""
+        seg = self._bufs[self._active]
+        off = HEADER_SLOTS * INT64
+        return (seg.i64[QP_EPOCH],
+                bytes(seg.shm.buf[off:off + seg.i64[QP_N] * INT64]))
 
     def _buf_bytes(self) -> int:
         return (HEADER_SLOTS + self._capacity) * INT64
@@ -269,6 +299,7 @@ class EpochPublisher:
         self._vocab_written = n
         for b in (0, 1):
             self._write_buffer(b, *self._last, payload)
+        self._changed = None  # both buffers now hold one epoch
 
     def _write_ctrl(self) -> None:
         ctrl = self._ctrl.i64
@@ -284,9 +315,11 @@ class EpochPublisher:
         ctrl[QP_CTRL_SEQ] = seq + 2
 
     def _write_buffer(self, b: int, epoch: int, min_epoch: int,
-                      payload) -> None:
-        """Seqlock-write buffer ``b``: odd stamps, payload (raw int64
-        bytes) + header fields, even echo, even stamp.  The echo is the
+                      payload, slots: Optional[set] = None) -> None:
+        """Seqlock-write buffer ``b``: odd stamps, payload + header
+        fields, even echo, even stamp.  ``payload`` is an int64 array
+        (or its raw bytes); with ``slots``, only those payload slots are
+        written — the rest already hold their values.  The echo is the
         last store after the payload; the stamp pair brackets every
         payload byte (module docstring, *Memory-model caveat*)."""
         seg = self._bufs[b]
@@ -294,11 +327,17 @@ class EpochPublisher:
         self._seq[b] += 1
         hdr[QP_SEQ] = self._seq[b]
         hdr[QP_SEQ_ECHO] = self._seq[b]
-        off = HEADER_SLOTS * INT64
-        seg.shm.buf[off:off + len(payload)] = payload
+        with memoryview(payload) as whole, whole.cast("B") as raw:
+            n = len(raw) // INT64
+            if slots is None:
+                off = HEADER_SLOTS * INT64
+                seg.shm.buf[off:off + len(raw)] = raw
+            else:
+                for i in slots:
+                    hdr[HEADER_SLOTS + i] = payload[i]
         hdr[QP_EPOCH] = epoch
         hdr[QP_MIN_EPOCH] = min_epoch
-        hdr[QP_N] = len(payload) // INT64
+        hdr[QP_N] = n
         hdr[QP_VOCAB_LEN] = len(self._vocab_log)
         hdr[QP_VOCAB_COUNT] = self._vocab_count
         self._seq[b] += 1
@@ -337,14 +376,19 @@ class EpochPublisher:
             seg.release(unlink=True)
 
     # -- the publish hook ------------------------------------------------
-    def publish(self, epoch: int, min_epoch: int, cores: array) -> None:
+    def publish(self, epoch: int, min_epoch: int, cores: array,
+                changed: Optional[set] = None) -> None:
         """Publish the core assignment of a committed epoch.
 
         ``cores`` is the store's dense int64 core array over
         :attr:`interner` (slot *i* holds the core of id *i*, or
-        :data:`CORE_UNKNOWN`), copied whole into the back buffer.
-        ``min_epoch`` moves the refusal boundary: pins below it get
-        :data:`E_EPOCH_TRUNCATED`.
+        :data:`CORE_UNKNOWN`).  ``changed`` names the slots that differ
+        from the last publish, which must have read this same array
+        (:attr:`source`); ``None`` means unknown.  The back buffer holds
+        the publish before the last, so it gets this publish's and the
+        last one's changed slots, or the whole array when either is
+        unknown.  ``min_epoch`` moves the refusal boundary: pins below
+        it get :data:`E_EPOCH_TRUNCATED`.
         """
         self._note_vocab()
         n = len(cores)
@@ -356,12 +400,15 @@ class EpochPublisher:
             w, m = self._vocab_written, len(self._vocab_log)
             self._vocab.shm.buf[w:m] = self._vocab_log[w:m]
             self._vocab_written = m
+        prev = self._changed if cores is self._source else None
+        slots = None if changed is None or prev is None else prev | changed
         back = 1 - self._active
-        with memoryview(cores) as whole, whole.cast("B") as raw:
-            self._write_buffer(back, epoch, min_epoch, raw)
+        self._write_buffer(back, epoch, min_epoch, cores, slots)
         self._active = back
         self._ctrl.i64[QP_CTRL_ACTIVE] = back
         self._last = (epoch, min_epoch)
+        self._source = cores
+        self._changed = changed
 
     # -- lifecycle -------------------------------------------------------
     def close(self, unlink: bool = True) -> None:

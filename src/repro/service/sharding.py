@@ -135,7 +135,7 @@ class ShardEngine(Engine):
     def present_vertices(self) -> List[Vertex]:
         """Present vertices, including endpoints only foreign edges
         name."""
-        ends = (x for e in self.foreign_edges() for x in e)
+        ends = chain.from_iterable(self.foreign_edges())
         return list(dict.fromkeys(chain(self.graph.vertices(), ends)))
 
 
@@ -516,7 +516,7 @@ class ShardedEngine:
         self.metrics_collector.assert_invariant()
         got = dict(self.cores())
         self._snapshots.maintainer.check()
-        self._snapshots.check()
+        self._snapshots.check(self._queryplane)
         want = graph_cores(self._union_graph())
         if got != want:
             wrong = sorted((x for x in want.keys() | got.keys()

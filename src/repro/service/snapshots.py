@@ -11,27 +11,39 @@ onto our order-based maintainer.
 One representation backs every view.  :class:`SnapshotStore` keeps a
 single dense int64 core array over interned vertex ids
 (:data:`CORE_UNKNOWN` for vertices absent at the head), a shell index
-``{k: slots with core k}``, and a bounded ring of the last
+``{k: vertices with core k}``, and a bounded ring of the last
 :data:`DELTA_EPOCHS` commits ``(epoch, kind, edges, undo)``.  OurI/OurR
 name exactly the vertices a batch can move (endpoints plus ``V*``), so a
-commit writes only those slots and keeps their old values in ``undo`` —
-O(|V*|) per epoch, never a copy of the map.  The head view reads the
-array directly and is reused until the next commit; a view at an older
-epoch, or a head view held across later commits, rolls back through the
-ring on its first read.  Epochs older than the ring advance
+commit writes only those slots and shells and keeps their old values in
+``undo`` — O(|V*|) per epoch, never a copy of the map.  The head view
+reads the array directly and is reused until the next commit; a view at
+an older epoch, or a head view held across later commits, rolls back
+through the ring on its first read.  Epochs older than the ring advance
 :attr:`SnapshotStore.min_epoch` and are refused.  The ring's edge
 batches also feed consumers that track the graph rather than the cores
 (the sharded router): :meth:`SnapshotStore.edge_deltas`.
 
+Shells are keyed on external vertices, so a ``k_shell`` answer needs no
+per-slot translation: the head view lends the store's own shell set as a
+read-only :class:`ShellSet`.  A commit that writes a shell while an
+answer over it is still alive (tracked by weakref) queues the write
+instead; the queue is applied in place once the answer is gone, and the
+shell is copied (copy-on-write) only if a reader needs its contents
+first or the queue would outgrow it.  Reads cost O(1), commits O(|V*|).
+
 The query-plane publisher (:mod:`repro.service.queryplane`) shares the
-store's interner and copies the array as its payload; its readers wrap
-the copied payload as the same array-backed :class:`SnapshotView`.
+store's interner; each publish hands it the array plus the slots the
+ring says changed since its last publish, so it writes O(|V*|) slots
+rather than the whole array.  Its readers wrap the copied payload as the
+same array-backed :class:`SnapshotView`.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import defaultdict, deque
+from collections.abc import Set as AbstractSet
 from typing import (
     Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping,
     Optional, Sequence, Set, Tuple,
@@ -48,7 +60,7 @@ from repro.service.requests import (
 Vertex = Hashable
 
 __all__ = [
-    "FrozenCoreMap", "SnapshotStore", "SnapshotView", "QUERY_KINDS",
+    "FrozenCoreMap", "ShellSet", "SnapshotStore", "SnapshotView", "QUERY_KINDS",
     "CORE_UNKNOWN", "DELTA_EPOCHS", "answer_query",
 ]
 
@@ -87,11 +99,72 @@ class FrozenCoreMap(dict):
         return (dict, (dict(self),))
 
 
-def _shells_of(cores: Sequence[int]) -> Dict[int, Set[int]]:
-    """The shell index of a core array: ``{k: slots whose core is k}``."""
-    shells: Dict[int, Set[int]] = defaultdict(set)
-    for i, k in enumerate(cores):
-        shells[k].add(i)
+class ShellSet(AbstractSet):
+    """A read-only set over one shell of a shell index: the ``k_shell``
+    and ``innermost`` answer type.
+
+    It wraps the shell set itself, so an answer costs O(1) however large
+    the shell; while an answer is alive the store never writes the set
+    it wraps (:meth:`SnapshotStore._write` queues the write, or copies
+    the shell), so the answer keeps its epoch.  It equals and hashes
+    like the frozenset of its vertices, and pickles to that frozenset,
+    so cross-process consumers (reader pools, shard pipes) receive a
+    plain ``frozenset``.
+    Set operators return ``frozenset``; ``frozenset(answer)`` is the
+    private copy.
+    """
+
+    __slots__ = ("_s", "__weakref__")
+
+    def __init__(self, shell: AbstractSet) -> None:
+        self._s = shell
+
+    def __contains__(self, u: object) -> bool:
+        return u in self._s
+
+    def __iter__(self):
+        # a generator, not iter(self._s): its frame keeps the answer
+        # alive, so no commit writes the set while it is being iterated
+        yield from self._s
+
+    def __len__(self) -> int:
+        return len(self._s)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ShellSet):
+            other = other._s
+        if isinstance(other, (set, frozenset)):
+            return self._s == other  # C-level, not the mixin's loop
+        return AbstractSet.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        # the value Set._hash gives (that of the equal frozenset), at C speed
+        return hash(frozenset(self._s))
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable) -> FrozenSet:
+        return frozenset(it)
+
+    def __reduce__(self):
+        return (frozenset, (frozenset(self._s),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({set(self._s)!r})"
+
+
+_NO_SHELL: FrozenSet = frozenset()
+
+#: writes a shell may queue behind a live answer before it is copied,
+#: below which copying a small shell is not worth it
+_QUEUE_FLOOR = 64
+
+
+def _shells_of(pairs: Iterable[Tuple[Vertex, int]]) -> Dict[int, Set[Vertex]]:
+    """The shell index of ``(vertex, core)`` pairs: ``{k: vertices whose
+    core is k}``."""
+    shells: Dict[int, Set[Vertex]] = defaultdict(set)
+    for u, k in pairs:
+        shells[k].add(u)
     shells.pop(CORE_UNKNOWN, None)
     return shells
 
@@ -101,16 +174,19 @@ class SnapshotView:
 
     Backed by a dense int64 core array: ``ids`` maps a vertex to its
     slot and ``ext`` a slot back to its vertex.  Point kinds read one
-    slot.  Aggregates come from the shell index (the store's, kept
-    current by each commit, or built from the array on first use) and
-    are computed once per view and shared by later calls, hence frozen
-    — under a read-heavy mix these, not the maintainer, are the hot
-    path.  The view never touches the maintainer, so reading can never
-    block on (or observe) an in-flight batch.
+    slot.  Aggregates come from the shell index ``{k: vertices}`` (the
+    store's, kept current by each commit, or built from the array on
+    first use).  ``k_shell`` and ``innermost`` wrap one shell as a
+    :class:`ShellSet` and are not memoised; the other aggregates are
+    computed once per view and shared by later calls, hence frozen.  The
+    view never touches the maintainer, so reading can never block on (or
+    observe) an in-flight batch.
 
-    A store's head view shares the store's live array until the next
-    commit, which detaches it; a detached view rolls back through the
-    store's ring on its next read, so it keeps answering its own epoch.
+    A store's head view shares the store's live array and shells until
+    the next commit, which detaches it; a detached view rolls back
+    through the store's ring on its next read, so it keeps answering its
+    own epoch.  Views at other epochs, and query-plane reader views,
+    build private shells from their array.
     """
 
     __slots__ = ("epoch", "_cores", "_ids", "_ext", "_shells", "_store",
@@ -118,20 +194,22 @@ class SnapshotView:
 
     def __init__(self, epoch: int, cores: Sequence[int],
                  ids: Mapping[Vertex, int], ext: Sequence[Vertex],
-                 shells: Optional[Dict[int, Set[int]]] = None,
+                 shells: Optional[Dict[int, Set[Vertex]]] = None,
                  store: Optional["SnapshotStore"] = None) -> None:
         self.epoch = epoch
         self._cores: Optional[Sequence[int]] = cores
         self._ids = ids
         self._ext = ext
         self._shells = shells
+        #: the store whose state a head view shares (``None`` once the
+        #: view reads private state)
         self._store = store
         #: (kind, args) -> cached aggregate answer
         self._memo: Dict[tuple, Any] = {}
 
     def _detach(self) -> None:
-        """The store is about to overwrite the shared array: read from a
-        rolled-back copy from now on."""
+        """The store is about to overwrite the shared array and shells:
+        read from a rolled-back copy from now on."""
         self._cores = self._shells = None
 
     def _array(self) -> Sequence[int]:
@@ -143,19 +221,27 @@ class SnapshotView:
             self._store = None
         return cores
 
-    def _shell_index(self) -> Dict[int, Set[int]]:
+    def _live(self) -> bool:
+        """Whether this is its store's current head (not yet detached)."""
+        return self._store is not None and self._cores is not None
+
+    def _shell_index(self) -> Dict[int, Set[Vertex]]:
         if self._shells is None:
-            self._shells = _shells_of(self._array())
+            if self._live():
+                return self._store._settled()
+            self._shells = _shells_of(zip(self._ext, self._array()))
         return self._shells
+
+    def _shell_sizes(self) -> Mapping[int, int]:
+        if self._live():
+            return self._store._sizes
+        return {k: len(s) for k, s in self._shell_index().items()}
 
     def _cached(self, key: tuple, compute: Callable[[], Any]) -> Any:
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = compute()
         return got
-
-    def _vertices(self, slots: Iterable[int]) -> FrozenSet[Vertex]:
-        return frozenset(map(self._ext.__getitem__, slots))
 
     def __contains__(self, u: Vertex) -> bool:
         return self.core(u) is not None
@@ -184,13 +270,15 @@ class SnapshotView:
 
     def k_core(self, k: int) -> FrozenSet[Vertex]:
         """Vertices in the ``k``-core."""
-        return self._cached(("k_core", k), lambda: self._vertices(
-            i for c, s in self._shell_index().items() if c >= k for i in s))
+        return self._cached(("k_core", k), lambda: frozenset().union(
+            *(s for c, s in self._shell_index().items() if c >= k)))
 
-    def k_shell(self, k: int) -> FrozenSet[Vertex]:
-        """Vertices in the ``k``-shell."""
-        return self._cached(("k_shell", k), lambda: self._vertices(
-            self._shell_index().get(k, ())))
+    def k_shell(self, k: int) -> ShellSet:
+        """Vertices in the ``k``-shell, as a read-only :class:`ShellSet`
+        (equal to, hashing and pickling like, the frozenset)."""
+        if self._live():
+            return self._store._lend(k)
+        return ShellSet(self._shell_index().get(k, _NO_SHELL))
 
     def in_k_core(self, u: Vertex, k: int) -> bool:
         """k-core membership of one vertex; unknown vertices are in no
@@ -200,15 +288,15 @@ class SnapshotView:
 
     def degeneracy(self) -> int:
         return self._cached(("degeneracy",),
-                            lambda: max(self._shell_index(), default=0))
+                            lambda: max(self._shell_sizes(), default=0))
 
-    def innermost(self) -> Tuple[int, FrozenSet[Vertex]]:
+    def innermost(self) -> Tuple[int, ShellSet]:
         kmax = self.degeneracy()
-        return self._cached(("innermost",), lambda: (kmax, self.k_shell(kmax)))
+        return kmax, self.k_shell(kmax)
 
     def shell_histogram(self) -> Mapping[int, int]:
         return self._cached(("shell_histogram",), lambda: FrozenCoreMap(
-            sorted((k, len(s)) for k, s in self._shell_index().items())))
+            sorted(self._shell_sizes().items())))
 
 
 #: the snapshot query plane: kind -> handler(view, args).  Every serving
@@ -280,7 +368,15 @@ class SnapshotStore:
         #: vertex <-> slot; shared with the query-plane publisher
         self.interner = VertexInterner(cores)
         self._cores = array("q", cores.values())
-        self._shells = _shells_of(self._cores)
+        #: the shell index; a shell in ``_pending`` lags its queued writes
+        self._shells = _shells_of(cores.items())
+        #: ``{k: size}`` of every non-empty shell, queued writes included
+        self._sizes = {k: len(s) for k, s in self._shells.items()}
+        #: k -> weakref to the :class:`ShellSet` lent over ``_shells[k]``
+        self._lent: Dict[int, weakref.ref] = {}
+        #: k -> ``[(vertex, added), ...]`` writes to a shell that a live
+        #: answer wraps, not yet applied to it
+        self._pending: Dict[int, List[Tuple[Vertex, bool]]] = {}
         #: ``(epoch, kind, edges, undo)`` of the last commits, where
         #: ``undo`` maps each slot the commit changed to its old value
         self._ring: deque = deque(maxlen=DELTA_EPOCHS)
@@ -293,9 +389,14 @@ class SnapshotStore:
         whose core may have changed (batch endpoints plus all ``V*``) —
         as the next epoch, or as ``epoch`` (strictly later: the sharded
         router stamps its global epochs).  ``kind``/``edges`` name the
-        batch for :meth:`edge_deltas`.  Returns the new epoch."""
+        batch for :meth:`edge_deltas`.  Returns the new epoch.
+
+        Writes to a shell that a live :class:`ShellSet` answer wraps
+        are queued (:meth:`_write`), so the answer keeps its epoch."""
         self._head._detach()
-        cores, shells = self._cores, self._shells
+        for k in [k for k in self._pending if self._lent[k]() is None]:
+            self._settle(k)  # its answers are gone: apply in place
+        cores, write = self._cores, self._write
         intern, core = self.interner.intern, self.maintainer.core
         undo: Dict[int, int] = {}
         for w in touched:
@@ -312,10 +413,8 @@ class SnapshotStore:
             undo[i] = old
             cores[i] = k
             if old != CORE_UNKNOWN:
-                shells[old].discard(i)
-                if not shells[old]:
-                    del shells[old]
-            shells[k].add(i)
+                write(old, w, False)
+            write(k, w, True)
         epoch = self.epoch + 1 if epoch is None else epoch
         ring = self._ring
         if len(ring) == ring.maxlen:
@@ -362,32 +461,127 @@ class SnapshotStore:
         :class:`~repro.service.queryplane.EpochPublisher` (no-op for
         ``None``).  A publisher that outlived an earlier store (restart,
         promotion, router rebuild) keeps its interner — readers hold its
-        ids — so the store re-keys onto it first."""
+        ids — so the store re-keys onto it first.
+
+        When the publisher's last payload came from this store's array,
+        the publish names the slots changed since then (:meth:`changed_since`)
+        so the publisher writes only those; otherwise it copies the whole
+        array."""
         if publisher is None:
             return
         if publisher.interner is not self.interner:
             self._adopt(publisher.interner)
-        publisher.publish(self.epoch, self.min_epoch, self._cores)
+        changed = (self.changed_since(publisher.epoch)
+                   if publisher.source is self._cores else None)
+        publisher.publish(self.epoch, self.min_epoch, self._cores, changed)
+
+    def changed_since(self, epoch: int) -> Optional[Set[int]]:
+        """The slots that any commit after ``epoch`` changed: the union of
+        the ring's ``undo`` keys, or ``None`` when the ring no longer
+        reaches back to ``epoch`` (or ``epoch`` is not in this store's
+        range at all).  Every other slot of the head equals its value at
+        ``epoch``."""
+        if not self.min_epoch <= epoch <= self.epoch:
+            return None
+        changed: Set[int] = set()
+        for e, _, _, undo in reversed(self._ring):
+            if e <= epoch:
+                break
+            changed.update(undo)
+        return changed
 
     def _adopt(self, interner: VertexInterner) -> None:
         remap = interner.intern_many(self.interner)
         cores = int64_buffer(len(interner), CORE_UNKNOWN)
         for i, k in enumerate(self._cores):
             cores[remap[i]] = k
-        # a handed-out head keeps the old array, which nothing writes now
+        # a handed-out head keeps the old array, which nothing writes
+        # now, and builds its own shells from it: the store's vertex-keyed
+        # shells survive the re-key and go on changing
+        self._head._store = None
         self._cores, self.interner = cores, interner
-        self._shells = _shells_of(cores)
         for n, (e, kind, edges, undo) in enumerate(self._ring):
             self._ring[n] = (e, kind, edges,
                              {remap[i]: k for i, k in undo.items()})
         self._new_head()
 
     # ------------------------------------------------------------------
+    def _write(self, k: int, w: Vertex, add: bool) -> None:
+        """Add ``w`` to shell ``k`` or drop it: in place, or queued
+        while a lent answer wraps the shell.  A queue that would outgrow
+        its shell (and :data:`_QUEUE_FLOOR`) is settled by copying, so a
+        write costs amortised O(1) however long the answer lives."""
+        sizes = self._sizes
+        n = sizes.get(k, 0) + (1 if add else -1)
+        if n:
+            sizes[k] = n
+        else:
+            del sizes[k]
+        queue = self._pending.get(k)
+        if queue is None:
+            ref = self._lent.get(k)
+            if ref is None or ref() is None:
+                if ref is not None:
+                    del self._lent[k]
+                shells = self._shells
+                shell = shells.get(k)
+                if not add:
+                    shell.discard(w)
+                    if not shell:
+                        del shells[k]
+                elif shell is None:
+                    shells[k] = {w}
+                else:
+                    shell.add(w)
+                return
+            queue = self._pending[k] = []
+        queue.append((w, add))
+        if len(queue) > max(len(self._shells[k]), _QUEUE_FLOOR):
+            self._settle(k)
+
+    def _settle(self, k: int) -> None:
+        """Apply shell ``k``'s queued writes: in place once no answer
+        wraps it, else to a copy that replaces it (the answer keeps the
+        old set)."""
+        queue = self._pending.pop(k)
+        shell = self._shells[k]
+        if self._lent.pop(k)() is not None:
+            shell = self._shells[k] = set(shell)
+        for w, add in queue:
+            if add:
+                shell.add(w)
+            else:
+                shell.discard(w)
+        if not shell:
+            del self._shells[k]
+
+    def _settled(self) -> Dict[int, Set[Vertex]]:
+        """The shell index with every queued write applied."""
+        for k in list(self._pending):
+            self._settle(k)
+        return self._shells
+
+    def _lend(self, k: int) -> ShellSet:
+        """The head's ``k_shell`` answer: a :class:`ShellSet` over the
+        store's own shell set.  While one is alive the same object is
+        lent again, so one weakref per shell tracks every holder."""
+        if k in self._pending:
+            self._settle(k)
+        shell = self._shells.get(k)
+        if shell is None:
+            return ShellSet(_NO_SHELL)
+        ref = self._lent.get(k)
+        got = ref() if ref is not None else None
+        if got is None:
+            got = ShellSet(shell)
+            self._lent[k] = weakref.ref(got)
+        return got
+
     def _new_head(self) -> None:
         """Build the head view once per commit, so reads only fetch it."""
         ids, ext = self.interner.tables()
         self._head = SnapshotView(self.epoch, self._cores, ids, ext,
-                                  self._shells, self)
+                                  store=self)
 
     def view(self, epoch: Optional[int] = None) -> SnapshotView:
         """A read view at ``epoch`` (default: the last committed one)."""
@@ -428,15 +622,29 @@ class SnapshotStore:
             )
         self.maintainer = maintainer
 
-    def check(self) -> None:
+    def check(self, publisher=None) -> None:
         """The committed head equals the maintainer's cores (valid at
-        quiescence), and the shell index equals the array's."""
+        quiescence), and the shell index equals the array's.  With an
+        open query-plane ``publisher``, its front buffer also carries
+        exactly the head epoch and array."""
         live, committed = self.maintainer.cores(), self.view().cores()
         assert live == committed, (
             f"snapshot out of sync with the maintainer at epoch "
             f"{self.epoch}: {len(committed)} committed vs {len(live)} cores"
         )
-        assert self._shells == _shells_of(self._cores), (
+        ext = self.interner.tables()[1]
+        shells = self._settled()
+        assert shells == _shells_of(zip(ext, self._cores)), (
             f"shell index out of sync with the core array at epoch "
             f"{self.epoch}"
+        )
+        assert self._sizes == {k: len(s) for k, s in shells.items()}, (
+            f"shell sizes out of sync at epoch {self.epoch}"
+        )
+        if publisher is None or publisher.closed:
+            return
+        epoch, payload = publisher.front()
+        assert (epoch, payload) == (self.epoch, self._cores.tobytes()), (
+            f"query-plane front buffer (epoch {epoch}) out of sync with "
+            f"the snapshot head at epoch {self.epoch}"
         )

@@ -2,7 +2,9 @@
 dense core array, held-view isolation, the retention ring and the
 store-vs-maintainer check."""
 
+import pickle
 import random
+from collections.abc import MutableSet, Set as AbstractSet
 
 import pytest
 
@@ -161,8 +163,22 @@ class TestSnapshotStore:
             with pytest.raises(TypeError, match="read-only"):
                 mutate()
         assert isinstance(v.k_core(2), frozenset)
-        assert isinstance(v.k_shell(1), frozenset)
-        assert isinstance(v.innermost()[1], frozenset)
+        # k_shell/innermost lend a read-only Set over the store's shell:
+        # no mutators, equal to and hashing like the frozenset, and it
+        # pickles to a frozenset
+        for got, want in ((v.k_shell(1), {3}),
+                          (v.innermost()[1], {0, 1, 2})):
+            assert isinstance(got, AbstractSet)
+            assert not isinstance(got, MutableSet)
+            for name in ("add", "discard", "remove", "pop", "clear",
+                         "update", "__ior__", "__iand__"):
+                assert not hasattr(got, name), name
+            assert got == frozenset(want) and frozenset(want) == got
+            assert hash(got) == hash(frozenset(want))
+            assert got | {99} == frozenset(want) | {99}
+            assert type(got | {99}) is frozenset
+            clone = pickle.loads(pickle.dumps(got))
+            assert type(clone) is frozenset and clone == frozenset(want)
         # frozen results still compare as the plain types
         assert v.cores() == {0: 2, 1: 2, 2: 2, 3: 1}
         assert v.k_core(2) == {0, 1, 2}
@@ -190,6 +206,166 @@ class TestSnapshotStore:
             store.view(7)
         with pytest.raises(ValueError):
             store.view(-1)
+
+
+def mixed_batches(seed, nv, steps, graph):
+    """A seeded stream of small insert/remove batches on ``nv`` vertices
+    of ``graph``'s edge set, applied by the caller: yields ``(kind,
+    batch)``."""
+    rng = random.Random(seed)
+    edges = {tuple(sorted(e)) for e in graph.edges()}
+    for _ in range(steps):
+        if edges and rng.random() < 0.4:
+            batch = rng.sample(sorted(edges), min(len(edges), rng.randint(1, 3)))
+            edges.difference_update(batch)
+            yield "-", batch
+        else:
+            batch = set()
+            while len(batch) < rng.randint(1, 4):
+                u, v = sorted(rng.sample(range(nv), 2))
+                if (u, v) not in edges:
+                    batch.add((u, v))
+            edges.update(batch)
+            yield "+", sorted(batch)
+
+
+def commit_next(store, m, kind, batch):
+    op = m.insert_edges if kind == "+" else m.remove_edges
+    return store.commit_batch(kind, batch, op(batch))
+
+
+class TestShellCopyOnWrite:
+    """``k_shell``/``innermost`` answers wrap the store's own shell sets;
+    a commit copies a shell before writing it only while an answer that
+    wraps it is alive."""
+
+    def test_held_answers_keep_their_epoch(self):
+        """Answers and pinned views taken at every epoch, held across
+        more than ``DELTA_EPOCHS`` commits that move their shells, still
+        equal their epoch's from-scratch oracle."""
+        nv = 24
+        g = DynamicGraph(erdos_renyi(nv, 40, seed=5))
+        m = DirectOrderMaintainer(g)
+        store = SnapshotStore(m)
+        held = []
+
+        def take():
+            cores = core_decomposition(m.graph).core
+            kmax = queries.degeneracy(cores)
+            view = store.view()
+            answers = {k: view.k_shell(k) for k in range(kmax + 2)}
+            want = {k: queries.k_shell(cores, k) for k in answers}
+            inner = view.innermost()
+            assert inner == queries.innermost_core(cores)
+            held.append((view, answers, want, inner,
+                         queries.innermost_core(cores)))
+
+        def verify(read_views):
+            for view, answers, want, inner, want_inner in held:
+                assert answers == want, view.epoch
+                assert inner == want_inner, view.epoch
+                if read_views:
+                    assert {k: view.k_shell(k) for k in want} == want
+                    assert view.innermost() == want_inner
+
+        take()
+        moved = 0
+        for kind, batch in mixed_batches(11, nv, DELTA_EPOCHS + 24, g):
+            before = dict(m.cores())
+            commit_next(store, m, kind, batch)
+            moved += dict(m.cores()) != before
+            verify(read_views=False)
+            take()
+            if store.epoch % 8 == 0:
+                # read every held view while the ring still reaches it,
+                # so later reads come from its own rolled-back copy
+                verify(read_views=True)
+        assert store.epoch > DELTA_EPOCHS and moved > DELTA_EPOCHS // 2
+        verify(read_views=False)
+        assert store.min_epoch > held[0][0].epoch
+        for view, _, want, _, want_inner in held:
+            if view.epoch % 8 == 0 or view.epoch >= store.min_epoch:
+                assert {k: view.k_shell(k) for k in want} == want
+                assert view.innermost() == want_inner
+
+    def test_dropped_answers_copy_nothing(self):
+        """With every answer dropped before the commit, the commit writes
+        the store's shell sets in place: each keeps its identity.  With
+        answers held, the commit queues its writes to their shells (still
+        no copy) and the answers keep their epoch; once they are dropped,
+        the next commit applies the queues in place."""
+        nv = 24
+        g = DynamicGraph(erdos_renyi(nv, 40, seed=7))
+        m = DirectOrderMaintainer(g)
+        store = SnapshotStore(m)
+        written = queued = 0
+        for step, (kind, batch) in enumerate(mixed_batches(3, nv, 60, g)):
+            hold = step % 2 == 1
+            head = store.view()
+            answers = {k: head.k_shell(k) for k in range(head.degeneracy() + 1)}
+            inner = head.innermost()
+            if not hold:
+                del answers, inner
+            sets = dict(store._shells)
+            contents = {k: frozenset(s) for k, s in sets.items()}
+            commit_next(store, m, kind, batch)
+            for k, s in sets.items():
+                assert store._shells.get(k) in (None, s), k  # no copy
+                if hold:
+                    assert answers[k] == contents[k]
+                    queued += k in store._pending
+            if hold:
+                assert inner[1] == contents[inner[0]]
+                del answers, inner
+            else:
+                assert not store._pending
+                written += sum(store._shells.get(k) != c
+                               for k, c in contents.items())
+            store.check()
+        assert written > 10 and queued > 10
+
+
+    def test_iterating_a_dropped_answer_across_commits(self):
+        """``for u in view.k_shell(k)`` keeps no name for the answer, yet
+        commits made while the loop runs must not touch the set it
+        walks: the loop sees exactly the shell of its epoch."""
+        nv = 24
+        g = DynamicGraph(erdos_renyi(nv, 40, seed=5))
+        m = DirectOrderMaintainer(g)
+        store = SnapshotStore(m)
+        stream = mixed_batches(17, nv, 200, g)
+        for k in range(1, queries.degeneracy(m.cores()) + 1):
+            want = queries.k_shell(dict(m.cores()), k)
+            seen = []
+            for u in store.view().k_shell(k):
+                seen.append(u)
+                commit_next(store, m, *next(stream))
+            assert sorted(seen) == sorted(want)
+        store.check()
+
+    def test_queue_behind_a_long_held_answer_is_bounded(self):
+        """One answer held across many commits: its shell's queued
+        writes never outgrow the shell (plus a small floor), the queue
+        is settled into a copy when it would, and the answer keeps its
+        epoch throughout."""
+        nv = 30
+        g = DynamicGraph(erdos_renyi(nv, 60, seed=9))
+        m = DirectOrderMaintainer(g)
+        store = SnapshotStore(m)
+        k = max(store._sizes, key=store._sizes.get)
+        held = store.view().k_shell(k)
+        want = frozenset(held)
+        copied = False
+        for kind, batch in mixed_batches(13, nv, 4 * DELTA_EPOCHS, g):
+            shell = store._shells.get(k)
+            commit_next(store, m, kind, batch)
+            copied |= store._shells.get(k) is not shell
+            bound = max(len(store._shells.get(k, ())), 64)
+            assert len(store._pending.get(k, ())) <= bound
+            assert held == want
+        assert copied
+        store.check()
+        assert held == want
 
 
 class TestRetention:

@@ -383,6 +383,40 @@ class TestSurface:
         assert set(sh.present_vertices()) == {0, 1}
         sh.close()
 
+    def test_shard_edge_and_vertex_lists_are_pinned(self):
+        """``edges``/``present_vertices``/``foreign_edges`` return exactly
+        the lists of their original expressions: local edges then the
+        foreign set sorted by ``repr``, and local vertices then foreign
+        endpoints in that order, first occurrence kept."""
+        from itertools import chain
+
+        names = [f"v{i}" for i in range(12)] + list(range(12))
+        rng = random.Random(17)
+        eng = ShardedEngine(None, EngineConfig(shards=3))
+        seen = []
+        for _ in range(3):  # the sorted list must follow every change
+            for _ in range(60):
+                u, v = rng.sample(names, 2)
+                if rng.random() < 0.35:
+                    eng.remove(u, v)
+                else:
+                    eng.insert(u, v)
+            eng.flush()
+            for sh in eng.shards:
+                e = sh.engine
+                ordered = sorted(e._foreign, key=repr)
+                seen.append(ordered)
+                assert e.foreign_edges() == ordered
+                assert sh.edges() == list(e.graph.edges()) + ordered
+                ends = (x for f in ordered for x in f)
+                assert sh.present_vertices() == list(
+                    dict.fromkeys(chain(e.graph.vertices(), ends)))
+                e.foreign_edges().clear()  # a private copy each call
+                assert e.foreign_edges() == ordered
+        assert sum(map(len, seen)) > 20
+        assert seen[:3] != seen[3:6] != seen[6:]
+        eng.close()
+
     def test_shards_must_be_positive(self):
         with pytest.raises(ValueError):
             ShardedEngine(None, EngineConfig(shards=0))
